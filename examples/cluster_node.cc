@@ -150,7 +150,7 @@ int RunDrive(uint16_t port, const std::string& verb,
     uint64_t target = std::stoull(arg);
     for (int i = 0; i < 200; ++i) {
       net::ServerStats stats = OrDie(client.Stats());
-      if (stats.has_cluster && stats.last_epoch_lsn >= target) {
+      if (stats.last_epoch_lsn >= target) {
         std::printf("LSN %llu\n",
                     static_cast<unsigned long long>(stats.last_epoch_lsn));
         return 0;

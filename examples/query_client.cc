@@ -108,19 +108,14 @@ int main() {
       static_cast<unsigned long long>(stats.pairs_served),
       static_cast<unsigned long long>(stats.releases_granted),
       static_cast<unsigned long long>(stats.budget_rejected));
-  // The v5 cluster block. has_cluster is decoder-set: a v1-v4 server's
-  // shorter stats body simply leaves it false, so this client stays
-  // compatible with every protocol generation.
-  if (stats.has_cluster) {
-    const char* role = stats.role == 1   ? "coordinator"
-                       : stats.role == 2 ? "replica"
-                                         : "standalone";
-    std::printf(
-        "cluster: role=%s epoch_lsn=%llu replicas=%u replica_lag=%llu\n",
-        role, static_cast<unsigned long long>(stats.last_epoch_lsn),
-        stats.num_replicas,
-        static_cast<unsigned long long>(stats.replica_lag));
-  }
+  const char* role = stats.role == 1   ? "coordinator"
+                     : stats.role == 2 ? "replica"
+                                       : "standalone";
+  std::printf(
+      "cluster: role=%s epoch_lsn=%llu replicas=%u replica_lag=%llu\n",
+      role, static_cast<unsigned long long>(stats.last_epoch_lsn),
+      stats.num_replicas,
+      static_cast<unsigned long long>(stats.replica_lag));
 
   server.Stop();
   std::puts("done: queries are free post-processing; releases are the "

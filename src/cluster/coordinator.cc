@@ -8,6 +8,18 @@
 namespace dpsp {
 namespace cluster {
 
+namespace {
+
+// Best-effort typed error on the replication listener: the dialer may
+// already be gone.
+void SendError(net::Socket& socket, net::ErrorKind kind,
+               const Status& status) {
+  std::vector<uint8_t> body = net::EncodeError(kind, status);
+  (void)net::WriteFrame(socket, net::MessageType::kError, body);
+}
+
+}  // namespace
+
 Coordinator::Coordinator(CoordinatorOptions options, net::QueryServer* server)
     : options_(std::move(options)), server_(server) {}
 
@@ -51,9 +63,11 @@ void Coordinator::Stop() {
   // reach a coordinator that is tearing down.
   server_->SetReplicationObserver(nullptr);
   server_->SetClusterStatsProvider(nullptr);
+  // Join the acceptor before closing the listener it polls: closing the
+  // fd under a live poll/accept is a race (the fd number can be reused).
   stopping_.store(true);
-  listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   DropAllSessions();
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   for (std::unique_ptr<Session>& session : sessions_) {
@@ -190,45 +204,33 @@ void Coordinator::ServeSubscriber(net::Socket socket) {
   // loop: bound the whole handshake read.
   (void)socket.SetRecvTimeout(options_.subscribe_timeout_ms);
   Result<net::Frame> first = net::ReadFrame(socket);
-  if (!first.ok()) return;
-  net::Frame frame = std::move(first).value();
-  if (frame.type != net::MessageType::kReplicaSubscribe) {
-    std::vector<uint8_t> error = net::EncodeError(
-        net::ErrorKind::kMalformed,
-        Status::InvalidArgument(
-            "replication listener expects a ReplicaSubscribe frame"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
+  if (!first.ok()) {
+    // kNotFound is the dialer hanging up cleanly; any other framing
+    // failure (a wrong protocol version included) gets one best-effort
+    // typed error before the hang-up, as on the query port.
+    if (first.status().code() != StatusCode::kNotFound &&
+        !stopping_.load()) {
+      SendError(socket, net::ErrorKind::kMalformed, first.status());
+    }
     return;
   }
-  if (frame.version < net::kReplicationProtocolVersion) {
-    // The peer's own protocol version does not define replication frames
-    // — reject, never act on a frame from before the exchange existed.
-    std::vector<uint8_t> error = net::EncodeError(
-        net::ErrorKind::kMalformed,
-        Status::InvalidArgument(
-            "replication frames require protocol v5; peer stamped an "
-            "older version"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
+  net::Frame frame = std::move(first).value();
+  if (frame.type != net::MessageType::kReplicaSubscribe) {
+    SendError(socket, net::ErrorKind::kMalformed,
+              Status::InvalidArgument(
+                  "replication listener expects a ReplicaSubscribe frame"));
     return;
   }
   Result<net::ReplicaSubscribe> decoded =
       net::DecodeReplicaSubscribe(frame.body);
   if (!decoded.ok()) {
-    std::vector<uint8_t> error =
-        net::EncodeError(net::ErrorKind::kMalformed, decoded.status());
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
+    SendError(socket, net::ErrorKind::kMalformed, decoded.status());
     return;
   }
   net::ReplicaSubscribe subscribe = std::move(decoded).value();
   if (connected_replicas() >= options_.max_replicas) {
-    std::vector<uint8_t> error = net::EncodeError(
-        net::ErrorKind::kOverloaded,
-        Status::Unavailable("replica roster is full; retry later"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          frame.version);
+    SendError(socket, net::ErrorKind::kOverloaded,
+              Status::Unavailable("replica roster is full; retry later"));
     return;
   }
   // The subscribe deadline served its purpose; from here the writer owns

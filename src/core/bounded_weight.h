@@ -96,9 +96,6 @@ class BoundedWeightOracle final : public DistanceOracle {
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override;
-  /// The flat buffers the lookup kernel streams: the covering assignment
-  /// and the Z x Z noisy table.
-  void AppendReleasedBuffers(std::vector<ReleasedBuffer>* out) const override;
 
   const Covering& covering() const { return covering_; }
   double noise_scale() const { return noise_scale_; }

@@ -332,32 +332,6 @@ double HldTreeOracle::DistanceToAncestor(VertexId v, VertexId z) const {
                                 pos_in_chain_[static_cast<size_t>(v)]);
 }
 
-void HldTreeOracle::AppendReleasedBuffers(
-    std::vector<ReleasedBuffer>* out) const {
-  out->push_back({"chain-of", chain_of_.data(),
-                  chain_of_.size() * sizeof(int)});
-  out->push_back({"pos-in-chain", pos_in_chain_.data(),
-                  pos_in_chain_.size() * sizeof(int)});
-  out->push_back({"ascent-cost", ascent_cost_.data(),
-                  ascent_cost_.size() * sizeof(double)});
-  out->push_back({"head-parent", head_parent_.data(),
-                  head_parent_.size() * sizeof(VertexId)});
-  out->push_back({"light-noisy", light_noisy_.data(),
-                  light_noisy_.size() * sizeof(double)});
-  EulerTourLca::FlatView flat = lca_->Flat();
-  out->push_back({"lca-table", flat.table, lca_->table_bytes()});
-  out->push_back({"lca-first-visit", flat.first_visit,
-                  lca_->first_visit_bytes()});
-  for (const NoisyDyadicRangeSums& chain : chains_) {
-    NoisyDyadicRangeSums::FlatView view = chain.Flat();
-    if (view.num_levels == 0) continue;
-    out->push_back(
-        {"dyadic-blocks", view.blocks,
-         static_cast<size_t>(view.level_offset[view.num_levels]) *
-             sizeof(double)});
-  }
-}
-
 Status HldTreeOracle::SaveReleasedState(
     std::vector<ReleasedSection>* out) const {
   // Every noisy value of the release: the per-chain dyadic blocks

@@ -1,11 +1,11 @@
 // AVX2 batch kernels for the fused DistanceInto hot paths.
 //
 // Each kernel is the vector twin of one scalar batch loop, operating on
-// the flat released buffers (EulerTourLca::FlatView, the dyadic block
-// array, the bounded-weight Z x Z table) through gathers. The kernels are
-// bit-identical to their scalar twins by construction: integer index math
-// is exact, and every floating-point combine uses the same IEEE operation
-// order as the scalar loop (enforced repo-wide with -ffp-contract=off).
+// the flat released buffers (EulerTourLca::FlatView and the dyadic block
+// array) through gathers. The kernels are bit-identical to their scalar
+// twins by construction: integer index math is exact, and every
+// floating-point combine uses the same IEEE operation order as the scalar
+// loop (enforced repo-wide with -ffp-contract=off).
 // tests/simd_conformance_test.cc asserts the identity across every
 // registry oracle.
 //
@@ -13,7 +13,7 @@
 // the toolchain compiled the AVX2 translation unit (DPSP_HAVE_AVX2), and
 // call sites dispatch per call on SimdKernelsEnabled(). Index-width
 // contract: every gathered index must fit int32 — callers guard with
-// EulerTourLca::SimdCompatible() and the bounded oracle's Z*Z check.
+// EulerTourLca::SimdCompatible().
 
 #ifndef DPSP_CORE_SIMD_KERNELS_H_
 #define DPSP_CORE_SIMD_KERNELS_H_
@@ -42,13 +42,6 @@ int LcaBatchAvx2(const EulerTourLca::FlatView& lca, const int32_t* pairs,
 /// validation contract as LcaBatchAvx2.
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out);
-
-/// Fused bounded-weight kernel: out[i] = table[assign[u] * stride +
-/// assign[v]], 0 exactly when the assignments coincide. Same validation
-/// contract as LcaBatchAvx2 (`n` bounds the vertex ids).
-int BoundedLookupAvx2(const double* table, int stride,
-                      const int32_t* assign, int n, const int32_t* pairs,
-                      int count, double* out);
 
 /// Batched dyadic prefix sums: out[i] = sum of the noisy blocks covering
 /// [0, his[i]), added lowest-set-bit first per lane — the scalar

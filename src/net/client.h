@@ -95,11 +95,11 @@ class Client {
   Result<std::vector<double>> Query(uint32_t handle_id,
                                     std::span<const VertexPair> pairs);
 
-  /// Applies one incremental weight-update epoch (protocol v3) to an
-  /// updatable released handle. The response carries the partial-release
-  /// loss actually charged and the ledger's remaining headroom. A build-
-  /// once mechanism fails with FailedPrecondition and last_error()->kind
-  /// == kUnsupported; an exhausted budget with kBudgetExhausted.
+  /// Applies one incremental weight-update epoch to an updatable released
+  /// handle. The response carries the partial-release loss actually
+  /// charged and the ledger's remaining headroom. A build-once mechanism
+  /// fails with FailedPrecondition and last_error()->kind ==
+  /// kUnsupported; an exhausted budget with kBudgetExhausted.
   Result<UpdateInfo> UpdateWeights(uint32_t handle_id,
                                    std::span<const EdgeWeightDelta> deltas);
 

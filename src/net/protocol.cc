@@ -180,11 +180,11 @@ const char* NodeRoleName(NodeRole role) {
 // ------------------------------------------------------------- frame I/O --
 
 Status WriteFrame(Socket& socket, MessageType type,
-                  std::span<const uint8_t> body, uint16_t version) {
+                  std::span<const uint8_t> body) {
   WireWriter header;
   header.Reserve(12 + body.size());
   header.U32(kFrameMagic);
-  header.U16(version);
+  header.U16(kProtocolVersion);
   header.U16(static_cast<uint16_t>(type));
   header.U32(static_cast<uint32_t>(body.size()));
   // One send: header and body coalesce into as few packets as possible.
@@ -206,11 +206,11 @@ Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes) {
   if (magic != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic (not a dpsp peer?)");
   }
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return Status::InvalidArgument(
         StrFormat("protocol version mismatch: peer speaks %u, this build "
-                  "speaks %u-%u",
-                  version, kMinProtocolVersion, kProtocolVersion));
+                  "speaks %u",
+                  version, kProtocolVersion));
   }
   if (body_size > max_body_bytes) {
     return Status::OutOfRange(
@@ -219,7 +219,6 @@ Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes) {
   }
   Frame frame;
   frame.type = static_cast<MessageType>(type);
-  frame.version = version;
   frame.body.resize(body_size);
   if (body_size > 0) {
     DPSP_RETURN_IF_ERROR(socket.ReadAll(frame.body.data(), body_size));
@@ -380,8 +379,7 @@ Result<UpdateInfo> DecodeUpdateInfo(std::span<const uint8_t> body) {
   return info;
 }
 
-std::vector<uint8_t> EncodeServerStats(const ServerStats& stats,
-                                       uint16_t version) {
+std::vector<uint8_t> EncodeServerStats(const ServerStats& stats) {
   WireWriter w;
   w.U64(stats.connections_accepted);
   w.U64(stats.queries_served);
@@ -390,30 +388,20 @@ std::vector<uint8_t> EncodeServerStats(const ServerStats& stats,
   w.U64(stats.budget_rejected);
   w.U64(stats.overload_rejected);
   w.U32(stats.open_handles);
-  // v2 accounting extension; a v1 peer gets the body shape its decoder
-  // expects (ExpectEnd would reject trailing bytes).
-  if (version >= 2) {
-    w.U16(stats.accounting_policy);
-    w.F64(stats.spent_epsilon);
-    w.F64(stats.spent_delta);
-    w.F64(stats.remaining_epsilon);
-    w.F64(stats.remaining_delta);
-  }
-  // v4 recovery extension.
-  if (version >= kRecoveryProtocolVersion) {
-    w.U32(stats.warm_restart ? 1 : 0);
-    w.U32(stats.recovered_handles);
-    w.U64(stats.recovered_charges);
-  }
-  // v5 cluster extension.
-  if (version >= kReplicationProtocolVersion) {
-    w.U16(stats.role);
-    w.U64(stats.last_epoch_lsn);
-    w.U32(stats.num_replicas);
-    w.U64(stats.replica_lag);
-    w.U64(stats.replica_queries_served);
-    w.U64(stats.replica_pairs_served);
-  }
+  w.U16(stats.accounting_policy);
+  w.F64(stats.spent_epsilon);
+  w.F64(stats.spent_delta);
+  w.F64(stats.remaining_epsilon);
+  w.F64(stats.remaining_delta);
+  w.U32(stats.warm_restart ? 1 : 0);
+  w.U32(stats.recovered_handles);
+  w.U64(stats.recovered_charges);
+  w.U16(stats.role);
+  w.U64(stats.last_epoch_lsn);
+  w.U32(stats.num_replicas);
+  w.U64(stats.replica_lag);
+  w.U64(stats.replica_queries_served);
+  w.U64(stats.replica_pairs_served);
   return w.Take();
 }
 
@@ -427,25 +415,16 @@ Result<ServerStats> DecodeServerStats(std::span<const uint8_t> body) {
   DPSP_RETURN_IF_ERROR(r.U64(&stats.budget_rejected));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.overload_rejected));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.open_handles));
-  // A body that ends here is a v1 peer: the accounting extension stays at
-  // its defaults and has_accounting records its absence.
-  if (r.remaining() == 0) return stats;
   DPSP_RETURN_IF_ERROR(r.U16(&stats.accounting_policy));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.spent_epsilon));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.spent_delta));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.remaining_epsilon));
   DPSP_RETURN_IF_ERROR(r.F64(&stats.remaining_delta));
-  stats.has_accounting = true;
-  // A body that ends here is a v2/v3 peer: no recovery extension.
-  if (r.remaining() == 0) return stats;
   uint32_t warm = 0;
   DPSP_RETURN_IF_ERROR(r.U32(&warm));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.recovered_handles));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.recovered_charges));
   stats.warm_restart = warm != 0;
-  stats.has_recovery = true;
-  // A body that ends here is a v4 peer: no cluster extension.
-  if (r.remaining() == 0) return stats;
   DPSP_RETURN_IF_ERROR(r.U16(&stats.role));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.last_epoch_lsn));
   DPSP_RETURN_IF_ERROR(r.U32(&stats.num_replicas));
@@ -453,7 +432,6 @@ Result<ServerStats> DecodeServerStats(std::span<const uint8_t> body) {
   DPSP_RETURN_IF_ERROR(r.U64(&stats.replica_queries_served));
   DPSP_RETURN_IF_ERROR(r.U64(&stats.replica_pairs_served));
   DPSP_RETURN_IF_ERROR(r.ExpectEnd());
-  stats.has_cluster = true;
   return stats;
 }
 

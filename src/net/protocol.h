@@ -16,56 +16,39 @@
 //   QueryRequest     u32 handle_id, u32 num_pairs, num_pairs x (i32 u, i32 v)
 //   QueryResponse    u32 num_pairs, num_pairs x f64 distance
 //   StatsRequest     (empty)
-//   StatsResponse    6 x u64 counters, u32 open_handles (ServerStats order);
-//                    since v2, followed by the accounting extension:
-//                    u16 policy (AccountingPolicy), f64 spent_epsilon,
-//                    f64 spent_delta, f64 remaining_epsilon,
-//                    f64 remaining_delta (+inf when no total budget);
-//                    since v4, followed by the recovery extension:
-//                    u32 warm_restart (0/1), u32 recovered_handles,
-//                    u64 recovered_charges
+//   StatsResponse    6 x u64 counters, u32 open_handles (ServerStats order),
+//                    then the accounting fields: u16 policy
+//                    (AccountingPolicy), f64 spent_epsilon, f64 spent_delta,
+//                    f64 remaining_epsilon, f64 remaining_delta (+inf when
+//                    no total budget); the recovery fields: u32
+//                    warm_restart (0/1), u32 recovered_handles, u64
+//                    recovered_charges; and the cluster fields: u16 role,
+//                    u64 last_epoch_lsn, u32 num_replicas, u64 replica_lag,
+//                    u64 replica_queries_served, u64 replica_pairs_served
 //   UpdateRequest    u32 handle_id, u32 num_deltas,
-//                    num_deltas x (i32 edge, f64 new_weight)   [since v3]
+//                    num_deltas x (i32 edge, f64 new_weight)
 //   UpdateResponse   f64 charged_epsilon, f64 charged_delta,
 //                    f64 remaining_epsilon, f64 remaining_delta,
-//                    u32 dirty_blocks, f64 wall_ms             [since v3]
-//   ReplicaSubscribe u64 last_epoch_lsn, str replica_name      [since v5]
+//                    u32 dirty_blocks, f64 wall_ms
+//   ReplicaSubscribe u64 last_epoch_lsn, str replica_name
 //   SnapshotChunk    u32 handle_id, u64 epoch_lsn, str handle_name,
 //                    str mechanism, str workload, u32 num_sections,
 //                    num_sections x (str label, u64 bytes_len, raw bytes,
-//                    u32 crc32c)                               [since v5]
+//                    u32 crc32c)
 //   DeltaFrame       u32 handle_id, u64 epoch_lsn, u32 num_patches,
 //                    num_patches x (str label, u64 section_bytes,
 //                    u32 post_crc32c, u32 num_ranges,
 //                    num_ranges x (u64 offset, u64 len, raw bytes))
-//                                                              [since v5]
 //   ReplicaStats     u16 role (NodeRole), u64 last_epoch_lsn,
-//                    u64 queries_served, u64 pairs_served      [since v5]
+//                    u64 queries_served, u64 pairs_served
 //   Error            u16 kind (ErrorKind), u16 status code (StatusCode),
 //                    str message
 //
-// Versioning: v2 added the StatsResponse accounting extension; v3 added
-// the UpdateWeights exchange (incremental weight-update epochs against an
-// updatable release) and the kUnsupported error kind; v4 added the
-// StatsResponse recovery extension (whether the server warm-restarted
-// from a persistence directory and what it recovered); v5 added the
-// replication exchange (ReplicaSubscribe / SnapshotChunk / DeltaFrame /
-// ReplicaStats, spoken on a coordinator's replication listener) and the
-// StatsResponse cluster extension (node role, last applied epoch LSN,
-// replica fan-out and lag). Each bump is backward compatible in both
-// directions of a rolling upgrade where servers are upgraded first:
-//   * decode: ReadFrame accepts any version in [kMinProtocolVersion,
-//     kProtocolVersion] and reports the peer's version on the Frame;
-//     DecodeServerStats treats a body that ends after the v1 fields as a
-//     v1 peer (has_accounting stays false).
-//   * encode: the server echoes each REQUEST's version on its responses
-//     (a v1 client never sees a v2+ header, whose equality check it would
-//     reject) and encodes the v1 stats body for v1 peers.
-//   * v3 requests from older peers: a server answers an UpdateRequest
-//     stamped v1/v2 with a typed kMalformed error instead of acting on a
-//     frame the peer's own protocol does not define.
-// A v3 client against a not-yet-upgraded server still fails at the old
-// server's version check — upgrade servers before clients.
+// Versioning: there is one version, kProtocolVersion. Every frame is
+// written at it, and ReadFrame refuses any other with a typed error, which
+// the server answers as kMalformed. The replication frames (ReplicaSubscribe
+// / SnapshotChunk / DeltaFrame / ReplicaStats) are spoken only on a
+// coordinator's replication listener.
 //
 // Strings are u32 length + raw bytes (no terminator). Every decoder
 // validates length prefixes against the remaining body and rejects
@@ -93,19 +76,6 @@ namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x44505350u;  // "DPSP"
 inline constexpr uint16_t kProtocolVersion = 5;
-/// Oldest peer version this build still decodes (v1 lacked the
-/// StatsResponse accounting extension, v2 the UpdateWeights exchange,
-/// v3 the StatsResponse recovery extension, v4 the replication exchange
-/// and the StatsResponse cluster extension; everything else is
-/// identical).
-inline constexpr uint16_t kMinProtocolVersion = 1;
-/// First version whose StatsResponse carries the recovery extension.
-inline constexpr uint16_t kRecoveryProtocolVersion = 4;
-/// First version that defines the UpdateWeights exchange.
-inline constexpr uint16_t kUpdateProtocolVersion = 3;
-/// First version that defines the replication exchange and the
-/// StatsResponse cluster extension.
-inline constexpr uint16_t kReplicationProtocolVersion = 5;
 /// Frames above this body size are rejected before allocation: 1M pairs.
 inline constexpr uint32_t kMaxBodyBytes = 16u << 20;
 /// Body-size ceiling on a replication stream, where one SnapshotChunk
@@ -121,15 +91,15 @@ enum class MessageType : uint16_t {
   kStatsRequest = 5,
   kStatsResponse = 6,
   kError = 7,
-  kUpdateRequest = 8,       // since v3
-  kUpdateResponse = 9,      // since v3
-  kReplicaSubscribe = 10,   // since v5
-  kSnapshotChunk = 11,      // since v5
-  kDeltaFrame = 12,         // since v5
-  kReplicaStats = 13,       // since v5
+  kUpdateRequest = 8,
+  kUpdateResponse = 9,
+  kReplicaSubscribe = 10,
+  kSnapshotChunk = 11,
+  kDeltaFrame = 12,
+  kReplicaStats = 13,
 };
 
-/// Where a node sits in the replicated read tier (Stats v5 / the
+/// Where a node sits in the replicated read tier (the Stats and
 /// ReplicaStats role field).
 enum class NodeRole : uint16_t {
   /// A single node doing both releases and queries (no cluster).
@@ -155,8 +125,7 @@ enum class ErrorKind : uint16_t {
   kTooLarge = 4,
   kInternal = 5,
   /// The addressed release exists but does not support the requested
-  /// operation (an UpdateRequest against a build-once mechanism). Since
-  /// v3; older peers decode it as kInternal.
+  /// operation (an UpdateRequest against a build-once mechanism).
   kUnsupported = 6,
 };
 
@@ -165,19 +134,15 @@ const char* ErrorKindName(ErrorKind kind);
 /// One decoded frame.
 struct Frame {
   MessageType type = MessageType::kError;
-  /// The protocol version the peer stamped on the header; responders echo
-  /// it so older peers never see a newer header.
-  uint16_t version = kProtocolVersion;
   std::vector<uint8_t> body;
 };
 
-/// Writes one frame (header + body) at `version` (the responder passes
-/// the request's version through).
+/// Writes one frame (header + body) at kProtocolVersion.
 Status WriteFrame(Socket& socket, MessageType type,
-                  std::span<const uint8_t> body,
-                  uint16_t version = kProtocolVersion);
+                  std::span<const uint8_t> body);
 
-/// Reads one frame, validating magic, version, and the body-size ceiling.
+/// Reads one frame, validating magic, version (exactly kProtocolVersion),
+/// and the body-size ceiling.
 /// A clean EOF before the header surfaces as kNotFound (peer hung up).
 Result<Frame> ReadFrame(Socket& socket, uint32_t max_body_bytes = kMaxBodyBytes);
 
@@ -206,8 +171,8 @@ struct QueryRequest {
   std::vector<VertexPair> pairs;
 };
 
-/// One incremental weight-update epoch against a released handle
-/// (protocol v3). The deltas are the continual-release drift: edge ids
+/// One incremental weight-update epoch against a released handle. The
+/// deltas are the continual-release drift: edge ids
 /// into the workload's public topology plus their new private weights.
 struct UpdateRequest {
   uint32_t handle_id = 0;
@@ -228,10 +193,10 @@ struct UpdateInfo {
 };
 
 /// Server-side counters, exposed over StatsRequest for monitoring and the
-/// load generator's sanity checks. Since protocol v2 the frame also
-/// carries the budget position under the server's active accounting
-/// policy (dp/accountant.h), so remote clients can pace their releases
-/// without a server-side round trip per attempt.
+/// load generator's sanity checks. The frame also carries the budget
+/// position under the server's active accounting policy
+/// (dp/accountant.h), so remote clients can pace their releases without a
+/// server-side round trip per attempt.
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t queries_served = 0;
@@ -241,9 +206,6 @@ struct ServerStats {
   uint64_t overload_rejected = 0;
   uint32_t open_handles = 0;
 
-  /// False when decoded from a v1 peer (the fields below are defaults).
-  /// Not on the wire; set by the decoder.
-  bool has_accounting = false;
   /// The server ledger's AccountingPolicy, as its wire value.
   uint16_t accounting_policy = 0;
   /// The policy-certified total spent so far (ReleaseContext::SpentTotal).
@@ -257,9 +219,6 @@ struct ServerStats {
   double remaining_epsilon = 0.0;
   double remaining_delta = 0.0;
 
-  /// False when decoded from a pre-v4 peer (the fields below are
-  /// defaults). Not on the wire; set by the decoder.
-  bool has_recovery = false;
   /// True when the server recovered state from a persistence directory at
   /// Start (ledger replayed from the WAL and/or snapshots reloaded),
   /// false for a fresh boot — a monitoring client's recovered-vs-fresh
@@ -271,9 +230,6 @@ struct ServerStats {
   /// ones count — intent-without-commit is spent).
   uint64_t recovered_charges = 0;
 
-  /// False when decoded from a pre-v5 peer (the fields below are
-  /// defaults). Not on the wire; set by the decoder.
-  bool has_cluster = false;
   /// The node's NodeRole, as its wire value.
   uint16_t role = 0;
   /// Highest replication epoch this node has applied (a coordinator: the
@@ -368,10 +324,7 @@ Result<UpdateRequest> DecodeUpdateRequest(std::span<const uint8_t> body);
 std::vector<uint8_t> EncodeUpdateInfo(const UpdateInfo& info);
 Result<UpdateInfo> DecodeUpdateInfo(std::span<const uint8_t> body);
 
-/// Encodes the v1 counter fields, plus the accounting extension when
-/// `version` >= 2 (v1 peers get the body their decoder expects).
-std::vector<uint8_t> EncodeServerStats(const ServerStats& stats,
-                                       uint16_t version = kProtocolVersion);
+std::vector<uint8_t> EncodeServerStats(const ServerStats& stats);
 Result<ServerStats> DecodeServerStats(std::span<const uint8_t> body);
 
 std::vector<uint8_t> EncodeError(ErrorKind kind, const Status& status);

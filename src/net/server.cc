@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <thread>
@@ -68,15 +67,13 @@ ErrorKind ReleaseErrorKind(const Status& status) {
 QueryServer::QueryServer(QueryServerOptions options, ReleaseContext context)
     : options_(std::move(options)),
       inflight_limit_(DeriveInflightLimit(options_.max_inflight_queries)),
-      context_(std::move(context)),
-      executor_(options_.executor) {
+      context_(std::move(context)) {
   RefreshBudgetSnapshot();
 }
 
 QueryServer::QueryServer(QueryServerOptions options)
     : options_(std::move(options)),
-      inflight_limit_(DeriveInflightLimit(options_.max_inflight_queries)),
-      executor_(options_.executor) {
+      inflight_limit_(DeriveInflightLimit(options_.max_inflight_queries)) {
   role_.store(NodeRole::kReplica);
 }
 
@@ -273,11 +270,9 @@ ServerStats QueryServer::stats() const {
     }
     stats.open_handles = open;
   }
-  stats.has_recovery = true;
   stats.warm_restart = warm_restart_;
   stats.recovered_handles = recovered_handles_;
   stats.recovered_charges = recovered_charges_;
-  stats.has_cluster = true;
   stats.role = static_cast<uint16_t>(role_.load());
   stats.last_epoch_lsn = epoch_lsn_.load();
   {
@@ -419,13 +414,6 @@ void QueryServer::ReapFinishedConnections() {
 
 void QueryServer::ServeConnection(Connection* connection) {
   Socket& socket = connection->socket;
-  // The version the peer last spoke; best-effort errors for unreadable
-  // frames echo it so an older peer can still decode them. Before the
-  // first good frame, guess the OLDEST supported version: this build's
-  // decoder accepts the whole range, so a v1-stamped error is readable
-  // by every peer, where a v2 stamp would be rejected by a v1 client's
-  // equality check.
-  uint16_t peer_version = kMinProtocolVersion;
   while (!stopping_.load()) {
     if (options_.idle_timeout_ms > 0) {
       // Idle-connection timeout: a peer that sends nothing for the
@@ -441,12 +429,10 @@ void QueryServer::ServeConnection(Connection* connection) {
       // (the stream cannot be resynchronized either way).
       if (frame.status().code() != StatusCode::kNotFound &&
           !stopping_.load()) {
-        SendError(socket, ErrorKind::kMalformed, frame.status(),
-                  peer_version);
+        SendError(socket, ErrorKind::kMalformed, frame.status());
       }
       break;
     }
-    peer_version = frame->version;
     if (!DispatchFrame(socket, *frame)) break;
   }
   connection->done.store(true);
@@ -455,29 +441,27 @@ void QueryServer::ServeConnection(Connection* connection) {
 bool QueryServer::DispatchFrame(Socket& socket, const Frame& frame) {
   switch (frame.type) {
     case MessageType::kReleaseRequest:
-      HandleRelease(socket, frame.body, frame.version);
+      HandleRelease(socket, frame.body);
       return true;
     case MessageType::kQueryRequest:
-      HandleQuery(socket, frame.body, frame.version);
+      HandleQuery(socket, frame.body);
       return true;
     case MessageType::kUpdateRequest:
-      HandleUpdate(socket, frame.body, frame.version);
+      HandleUpdate(socket, frame.body);
       return true;
     case MessageType::kStatsRequest:
-      HandleStats(socket, frame.version);
+      HandleStats(socket);
       return true;
     default:
       SendError(socket, ErrorKind::kMalformed,
                 Status::InvalidArgument(
-                    "unexpected message type for a request"),
-                frame.version);
+                    "unexpected message type for a request"));
       return false;
   }
 }
 
 void QueryServer::HandleRelease(Socket& socket,
-                                std::span<const uint8_t> body,
-                                uint16_t version) {
+                                std::span<const uint8_t> body) {
   if (replica_mode()) {
     // Not a budget rejection (budget_rejected stays untouched): this node
     // simply has no ledger. The failover-aware client routes releases to
@@ -485,12 +469,12 @@ void QueryServer::HandleRelease(Socket& socket,
     SendError(socket, ErrorKind::kUnsupported,
               Status::FailedPrecondition(
                   "this node is a read replica; releases run on the "
-                  "coordinator"), version);
+                  "coordinator"));
     return;
   }
   Result<ReleaseRequest> request = DecodeReleaseRequest(body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   const Workload* workload = nullptr;
@@ -500,19 +484,19 @@ void QueryServer::HandleRelease(Socket& socket,
   if (workload == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound("no workload loaded under '" +
-                               request->workload + "'"), version);
+                               request->workload + "'"));
     return;
   }
   const OracleRegistry& registry = OracleRegistry::Global();
   if (!registry.Contains(request->mechanism)) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound("no oracle registered under '" +
-                               request->mechanism + "'"), version);
+                               request->mechanism + "'"));
     return;
   }
   if (request->handle_name.empty()) {
     SendError(socket, ErrorKind::kMalformed,
-              Status::InvalidArgument("handle name must not be empty"), version);
+              Status::InvalidArgument("handle name must not be empty"));
     return;
   }
   ReleaseInfo info;
@@ -532,7 +516,7 @@ void QueryServer::HandleRelease(Socket& socket,
           SendError(socket, ErrorKind::kMalformed,
                     Status::InvalidArgument("handle '" +
                                             request->handle_name +
-                                            "' already exists"), version);
+                                            "' already exists"));
           return;
         }
       }
@@ -547,8 +531,7 @@ void QueryServer::HandleRelease(Socket& socket,
       if (built.status().code() == StatusCode::kFailedPrecondition) {
         counters_.budget_rejected.fetch_add(1);
       }
-      SendError(socket, ReleaseErrorKind(built.status()), built.status(),
-                version);
+      SendError(socket, ReleaseErrorKind(built.status()), built.status());
       return;
     }
     if (const ReleaseTelemetry* t = context_->last_telemetry()) {
@@ -594,7 +577,7 @@ void QueryServer::HandleRelease(Socket& socket,
           handles_.pop_back();
         }
         RefreshBudgetSnapshot();
-        SendError(socket, ErrorKind::kInternal, saved, version);
+        SendError(socket, ErrorKind::kInternal, saved);
         return;
       }
     }
@@ -607,7 +590,7 @@ void QueryServer::HandleRelease(Socket& socket,
   }
   counters_.releases_granted.fetch_add(1);
   std::vector<uint8_t> response = EncodeReleaseInfo(info);
-  WriteFrame(socket, MessageType::kReleaseResponse, response, version);
+  WriteFrame(socket, MessageType::kReleaseResponse, response);
 }
 
 void QueryServer::LookupHandle(
@@ -620,8 +603,7 @@ void QueryServer::LookupHandle(
   }
 }
 
-void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
-                              uint16_t version) {
+void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body) {
   // Queue-depth backpressure first: shedding happens before the body is
   // even decoded, so an overloaded server does the minimum work per
   // rejected request.
@@ -630,32 +612,28 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
     counters_.overload_rejected.fetch_add(1);
     SendError(socket, ErrorKind::kOverloaded,
               Status::Unavailable("query queue depth limit reached, "
-                                  "retry later"), version);
+                                  "retry later"));
     return;
   }
   Result<QueryRequest> request = DecodeQueryRequest(body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   if (request->pairs.size() > options_.max_pairs_per_query) {
     SendError(socket, ErrorKind::kTooLarge,
               Status::OutOfRange(StrFormat(
                   "batch of %zu pairs exceeds the per-request limit of %u",
-                  request->pairs.size(), options_.max_pairs_per_query)), version);
+                  request->pairs.size(), options_.max_pairs_per_query)));
     return;
   }
-  // Per-node capacity ceiling: the batch waits for its admission slot
-  // (delayed, never shed), so sustained throughput tops out at the
-  // configured pairs/sec no matter how hard the closed loop pushes.
-  PaceQueryAdmission(request->pairs.size());
   std::shared_ptr<DistanceOracle> oracle;
   std::shared_ptr<std::shared_mutex> guard;
   LookupHandle(request->handle_id, &oracle, &guard);
   if (oracle == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound(StrFormat("no released oracle with handle %u",
-                                         request->handle_id)), version);
+                                         request->handle_id)));
     return;
   }
   // Reader side of the handle guard: any number of query batches run
@@ -665,65 +643,33 @@ void QueryServer::HandleQuery(Socket& socket, std::span<const uint8_t> body,
       executor_.Execute(*oracle, request->pairs);
   if (!distances.ok()) {
     // Out-of-range vertices and the like: the client's fault, typed so.
-    SendError(socket, ErrorKind::kMalformed, distances.status(), version);
+    SendError(socket, ErrorKind::kMalformed, distances.status());
     return;
   }
   counters_.queries_served.fetch_add(1);
   counters_.pairs_served.fetch_add(request->pairs.size());
   std::vector<uint8_t> response = EncodeQueryResponse(*distances);
-  WriteFrame(socket, MessageType::kQueryResponse, response, version);
+  WriteFrame(socket, MessageType::kQueryResponse, response);
 }
 
-void QueryServer::PaceQueryAdmission(size_t pairs) {
-  if (options_.max_query_pairs_per_sec <= 0) return;
-  // Virtual-clock pacer: each batch reserves pairs/rate seconds behind
-  // the previous admission and sleeps until its slot arrives. Admitted
-  // starts are therefore spaced at exactly the configured rate; the
-  // connection thread blocks, so no retry storm and no shed work.
-  std::chrono::steady_clock::time_point slot;
-  {
-    std::lock_guard<std::mutex> lock(pace_mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    if (pace_next_ < now) pace_next_ = now;
-    slot = pace_next_;
-    pace_next_ +=
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(
-                static_cast<double>(pairs) /
-                options_.max_query_pairs_per_sec));
-  }
-  std::this_thread::sleep_until(slot);
-}
-
-void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
-                               uint16_t version) {
+void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body) {
   if (replica_mode()) {
     SendError(socket, ErrorKind::kUnsupported,
               Status::FailedPrecondition(
                   "this node is a read replica; update epochs run on the "
-                  "coordinator"), version);
-    return;
-  }
-  if (version < kUpdateProtocolVersion) {
-    // The peer's own protocol does not define this exchange; acting on it
-    // would be guessing at semantics the peer never agreed to.
-    SendError(socket, ErrorKind::kMalformed,
-              Status::InvalidArgument(StrFormat(
-                  "UpdateWeights requires protocol v%u (peer spoke v%u)",
-                  kUpdateProtocolVersion, version)), version);
+                  "coordinator"));
     return;
   }
   Result<UpdateRequest> request = DecodeUpdateRequest(body);
   if (!request.ok()) {
-    SendError(socket, ErrorKind::kMalformed, request.status(), version);
+    SendError(socket, ErrorKind::kMalformed, request.status());
     return;
   }
   if (request->deltas.size() > options_.max_pairs_per_query) {
     SendError(socket, ErrorKind::kTooLarge,
               Status::OutOfRange(StrFormat(
                   "epoch of %zu deltas exceeds the per-request limit of %u",
-                  request->deltas.size(), options_.max_pairs_per_query)),
-              version);
+                  request->deltas.size(), options_.max_pairs_per_query)));
     return;
   }
   std::shared_ptr<DistanceOracle> oracle;
@@ -732,7 +678,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
   if (oracle == nullptr) {
     SendError(socket, ErrorKind::kNotFound,
               Status::NotFound(StrFormat("no released oracle with handle %u",
-                                         request->handle_id)), version);
+                                         request->handle_id)));
     return;
   }
   UpdatableDistanceOracle* updatable = oracle->AsUpdatable();
@@ -741,7 +687,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
               Status::FailedPrecondition(
                   "release '" + oracle->Name() +
                   "' is build-once: it does not support incremental "
-                  "weight updates"), version);
+                  "weight updates"));
     return;
   }
   UpdateInfo info;
@@ -758,7 +704,7 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
       if (applied.code() == StatusCode::kFailedPrecondition) {
         counters_.budget_rejected.fetch_add(1);
       }
-      SendError(socket, ReleaseErrorKind(applied), applied, version);
+      SendError(socket, ReleaseErrorKind(applied), applied);
       return;
     }
     const UpdatableDistanceOracle::UpdateStats& stats =
@@ -800,12 +746,11 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body,
                       meta.handle, meta.mechanism, meta.workload, *oracle);
   }
   std::vector<uint8_t> response = EncodeUpdateInfo(info);
-  WriteFrame(socket, MessageType::kUpdateResponse, response, version);
+  WriteFrame(socket, MessageType::kUpdateResponse, response);
 }
 
-void QueryServer::HandleStats(Socket& socket, uint16_t version) {
+void QueryServer::HandleStats(Socket& socket) {
   ServerStats snapshot = stats();
-  snapshot.has_accounting = true;
   if (context_.has_value()) {
     // The policy never changes after construction; the budget position is
     // served from the post-commit snapshot so a stats poll is O(1) even
@@ -818,16 +763,16 @@ void QueryServer::HandleStats(Socket& socket, uint16_t version) {
     snapshot.remaining_delta = remaining_snapshot_.delta;
   }
   // Replica: the accounting fields stay zero — the budget lives on the
-  // coordinator, and role (v5) tells the client which node it asked.
-  std::vector<uint8_t> response = EncodeServerStats(snapshot, version);
-  WriteFrame(socket, MessageType::kStatsResponse, response, version);
+  // coordinator, and role tells the client which node it asked.
+  std::vector<uint8_t> response = EncodeServerStats(snapshot);
+  WriteFrame(socket, MessageType::kStatsResponse, response);
 }
 
 void QueryServer::SendError(Socket& socket, ErrorKind kind,
-                            const Status& status, uint16_t version) {
+                            const Status& status) {
   std::vector<uint8_t> body = EncodeError(kind, status);
   // Best-effort: the peer may already be gone; its read loop will notice.
-  WriteFrame(socket, MessageType::kError, body, version);
+  WriteFrame(socket, MessageType::kError, body);
 }
 
 }  // namespace net

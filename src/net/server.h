@@ -10,11 +10,11 @@
 // QUERY is free post-processing of an already-released structure, so
 // query requests are only subject to queue-depth backpressure (a bounded
 // in-flight gauge) and oversized-batch limits — the server sheds load with
-// typed kOverloaded errors instead of queueing unboundedly. An UPDATE
-// (protocol v3) sits in between: a partial re-release of one handle's
-// dirty blocks, budget-checked like a release (at its dirty-fraction
-// price) and applied under the handle's writer lock so concurrent query
-// batches never observe a half-updated structure. Updates are
+// typed kOverloaded errors instead of queueing unboundedly. An UPDATE sits
+// in between: a partial re-release of one handle's dirty blocks,
+// budget-checked like a release (at its dirty-fraction price) and applied
+// under the handle's writer lock so concurrent query batches never
+// observe a half-updated structure. Updates are
 // handle-scoped: they mutate the addressed release, not the workload
 // table (which stays the load-time snapshot other releases build from).
 //
@@ -26,10 +26,10 @@
 // table hands out shared_ptrs so a handle stays alive for the duration of
 // any in-flight batch.
 
-// Replica mode (protocol v5): a QueryServer constructed WITHOUT a
-// ReleaseContext is a read replica. It holds no ledger, no accountant,
-// and no noise stream — it cannot release or update even by accident;
-// both paths answer kUnsupported. Its handle table is fed by
+// Replica mode: a QueryServer constructed WITHOUT a ReleaseContext is a
+// read replica. It holds no ledger, no accountant, and no noise stream —
+// it cannot release or update even by accident; both paths answer
+// kUnsupported. Its handle table is fed by
 // cluster::Replica installing images the coordinator shipped, and its
 // query path is byte-for-byte the standalone one, so replicated answers
 // are bit-identical to the coordinator's.
@@ -38,7 +38,6 @@
 #define DPSP_NET_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -75,14 +74,6 @@ struct QueryServerOptions {
   /// Largest pair count in one QueryRequest; larger is a kTooLarge error
   /// (clients split batches instead of the server buffering hugely).
   uint32_t max_pairs_per_query = 1u << 20;
-  /// Admission pacing: sustained pairs-per-second ceiling on the query
-  /// path (0 = unpaced). Batches over the rate are DELAYED, never shed —
-  /// this is the per-node capacity model for a replicated read tier,
-  /// where aggregate admitted throughput is endpoint count x this rate.
-  /// Orthogonal to max_inflight_queries, which sheds bursts.
-  double max_query_pairs_per_sec = 0.0;
-  /// Sharding configuration for the per-request BatchExecutor fan-out.
-  BatchExecutorOptions executor;
   /// Directory for crash-safe state (created if absent). When set, Start
   /// replays the budget WAL into the ledger (intent-without-commit counts
   /// as spent), reloads every oracle snapshot against its workload, and
@@ -163,7 +154,7 @@ class QueryServer {
   /// True when constructed without a ledger (the replica-mode ctor).
   bool replica_mode() const { return !context_.has_value(); }
 
-  /// This node's place in the read tier, for Stats v5. Defaults to
+  /// This node's place in the read tier, for Stats. Defaults to
   /// kStandalone (kReplica for the replica ctor); cluster::Coordinator
   /// promotes its server to kCoordinator.
   void set_role(NodeRole role) { role_.store(role); }
@@ -182,7 +173,7 @@ class QueryServer {
   /// server or be cleared first.
   void SetReplicationObserver(ReplicationObserver* observer);
 
-  /// Installs `fn` to fill the Stats v5 cluster aggregation fields
+  /// Installs `fn` to fill the Stats cluster aggregation fields
   /// (num_replicas, replica_lag, replica serve counters) on every stats
   /// snapshot — the coordinator/replica objects own that state.
   using ClusterStatsFn = std::function<void(ServerStats&)>;
@@ -204,10 +195,6 @@ class QueryServer {
   /// server lives (the replica materialization path reads them).
   const Graph* WorkloadGraph(const std::string& name) const;
   const EdgeWeights* WorkloadWeights(const std::string& name) const;
-
-  /// The executor handles are placed/queried through (NUMA placement for
-  /// freshly installed replica images).
-  const BatchExecutor& executor() const { return executor_; }
 
  private:
   struct Workload {
@@ -256,26 +243,17 @@ class QueryServer {
   void RefreshBudgetSnapshot();
   void ServeConnection(Connection* connection);
   /// Dispatches one frame; returns false when the connection must close
-  /// (framing is broken and the stream cannot be resynchronized). Every
-  /// response (errors included) echoes the request frame's protocol
-  /// version so a v1 peer never sees a v2 header.
+  /// (framing is broken and the stream cannot be resynchronized).
   bool DispatchFrame(Socket& socket, const Frame& frame);
-  void HandleRelease(Socket& socket, std::span<const uint8_t> body,
-                     uint16_t version);
-  void HandleQuery(Socket& socket, std::span<const uint8_t> body,
-                   uint16_t version);
-  /// Sleeps the connection thread until the batch's admission slot under
-  /// options_.max_query_pairs_per_sec (no-op when unpaced).
-  void PaceQueryAdmission(size_t pairs);
-  /// One incremental update epoch (v3): validated, budget-checked at its
+  void HandleRelease(Socket& socket, std::span<const uint8_t> body);
+  void HandleQuery(Socket& socket, std::span<const uint8_t> body);
+  /// One incremental update epoch: validated, budget-checked at its
   /// dirty-fraction price, applied under the handle's writer lock and the
   /// ledger lock (one noise stream), answered with the charged loss and
   /// remaining headroom.
-  void HandleUpdate(Socket& socket, std::span<const uint8_t> body,
-                    uint16_t version);
-  void HandleStats(Socket& socket, uint16_t version);
-  void SendError(Socket& socket, ErrorKind kind, const Status& status,
-                 uint16_t version = kProtocolVersion);
+  void HandleUpdate(Socket& socket, std::span<const uint8_t> body);
+  void HandleStats(Socket& socket);
+  void SendError(Socket& socket, ErrorKind kind, const Status& status);
   /// Extracts the oracle's released image and hands it to the observer
   /// (no-op without an observer or for non-persisting oracles). Call
   /// under ledger_mutex_ so the stream arrives in LSN order.
@@ -326,18 +304,13 @@ class QueryServer {
   std::atomic<NodeRole> role_{NodeRole::kStandalone};
   // Set under ledger_mutex_, read under it (the notify path).
   ReplicationObserver* replication_observer_ = nullptr;
-  // Fills the Stats v5 aggregation fields; guarded by its own mutex (the
+  // Fills the Stats cluster aggregation fields; guarded by its own mutex (the
   // provider is installed after Start, when stats may already be polled).
   mutable std::mutex cluster_stats_mutex_;
   ClusterStatsFn cluster_stats_fn_;
 
   BatchExecutor executor_;
   std::atomic<int> inflight_queries_{0};
-
-  // Admission pacer: virtual start time of the next admitted batch.
-  // Meaningful only when options_.max_query_pairs_per_sec > 0.
-  std::mutex pace_mutex_;
-  std::chrono::steady_clock::time_point pace_next_{};
 
   Listener listener_;
   std::thread accept_thread_;

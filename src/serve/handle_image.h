@@ -22,7 +22,6 @@
 #include "common/status.h"
 #include "core/distance_oracle.h"
 #include "graph/graph.h"
-#include "serve/batch_executor.h"
 #include "store/snapshot_delta.h"
 
 namespace dpsp {
@@ -45,12 +44,9 @@ class HandleImage {
                     uint64_t epoch_lsn);
 
   /// Rebuilds the serving oracle from the current sections through the
-  /// registry loader for `mechanism()`. When `executor` is non-null its
-  /// NUMA placement runs on the fresh oracle (the same call the
-  /// coordinator makes after its own installs and update epochs).
+  /// registry loader for `mechanism()`.
   Result<std::shared_ptr<DistanceOracle>> Materialize(
-      const Graph& graph, const EdgeWeights& weights,
-      const BatchExecutor* executor = nullptr) const;
+      const Graph& graph, const EdgeWeights& weights) const;
 
   const std::string& name() const { return name_; }
   const std::string& mechanism() const { return mechanism_; }

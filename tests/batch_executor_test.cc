@@ -1,4 +1,4 @@
-// Tests for the sharded batch execution engine: every shard policy must
+// Tests for the sharded batch execution engine: contiguous sharding must
 // produce results bit-identical to the serial DistanceInto reference path
 // across all registered mechanisms, and a sharded build pipeline's
 // Fork/AbsorbShard ledger must equal the unsharded one.
@@ -75,22 +75,10 @@ TEST_P(ExecutorConformanceTest, ShardedBitIdenticalToSerial) {
     EXPECT_EQ(sharded[i], serial[i]) << name << " at pair " << i;
   }
 
-  // Keyed shards (every vertex its own cell — the worst-case key spread).
-  BatchExecutor keyed(options);
-  std::vector<int> cells(kNumVertices);
-  for (int v = 0; v < kNumVertices; ++v) cells[static_cast<size_t>(v)] = v;
-  keyed.SetShardCells(std::move(cells));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_out,
-                       keyed.Execute(*oracle, pairs));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(keyed_out[i], serial[i]) << name << " keyed at pair " << i;
-  }
-
   // Errors propagate from shard kernels.
   std::vector<VertexPair> bad = pairs;
   bad[bad.size() / 2] = {0, kNumVertices + 5};
   EXPECT_FALSE(contiguous.Execute(*oracle, bad).ok());
-  EXPECT_FALSE(keyed.Execute(*oracle, bad).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -103,62 +91,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return id;
     });
-
-TEST(BatchExecutorTest, ComponentShardingOnForest) {
-  // Two components; the exact oracle answers cross-component pairs with
-  // infinity, and component sharding must preserve that verbatim.
-  ASSERT_OK_AND_ASSIGN(
-      Graph g, Graph::Create(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}}));
-  EdgeWeights w = {1.0, 2.0, 3.0, 4.0};
-  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
-                       ReleaseContext::Create(PrivacyParams{}, kTestSeed));
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       OracleRegistry::Global().Create("exact", g, w, ctx));
-
-  std::vector<VertexPair> pairs;
-  for (VertexId u = 0; u < 6; ++u) {
-    for (VertexId v = 0; v < 6; ++v) pairs.emplace_back(u, v);
-  }
-  ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
-                       DistanceBatchOf(*oracle, pairs, /*max_threads=*/1));
-
-  BatchExecutorOptions options;
-  options.num_shards = 2;
-  options.min_shard_pairs = 1;
-  BatchExecutor executor(options);
-  executor.SetShardCells(ComponentCells(g));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
-                       executor.Execute(*oracle, pairs));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(sharded[i], serial[i]) << "pair " << i;
-  }
-}
-
-TEST(BatchExecutorTest, CoveringCellShardingOnBoundedWeight) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeGridGraph(8, 8));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 1.0, &rng);
-  BoundedWeightOptions options;
-  options.params = PrivacyParams{1.0, 0.0, 1.0};
-  options.k = 2;
-  ASSERT_OK_AND_ASSIGN(auto oracle,
-                       BoundedWeightOracle::Build(g, w, options, &rng));
-
-  std::vector<VertexPair> pairs = SampleTestPairs(64, 2000, &rng);
-  ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
-                       DistanceBatchOf(*oracle, pairs, /*max_threads=*/1));
-
-  BatchExecutorOptions exec_options;
-  exec_options.num_shards = 4;
-  exec_options.min_shard_pairs = 1;
-  BatchExecutor executor(exec_options);
-  executor.SetShardCells(CoveringCells(oracle->covering()));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
-                       executor.Execute(*oracle, pairs));
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(sharded[i], serial[i]) << "pair " << i;
-  }
-}
 
 TEST(BatchExecutorTest, ParallelBoundedWeightBuildIsThreadCountInvariant) {
   Rng data_rng(kTestSeed);
@@ -272,9 +204,9 @@ TEST(BatchExecutorTest, AbsorbShardRespectsTotalBudgetAtomically) {
 TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
   // Regression: empty and single-element batches must produce well-defined
   // results with no worker spawn on every execution path — the parallel
-  // DistanceBatch, the forced-serial reference, and both executor shard
-  // policies (an empty vector's data() is null, so any path that blindly
-  // hands the kernel a pointer would be UB).
+  // DistanceBatch, the forced-serial reference, and the executor (an
+  // empty vector's data() is null, so any path that blindly hands the
+  // kernel a pointer would be UB).
   Rng rng(kTestSeed);
   ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(8));
   EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
@@ -312,16 +244,6 @@ TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
                        contiguous.Execute(*oracle, single));
   ASSERT_EQ(exec_single.size(), 1u);
   EXPECT_EQ(exec_single[0], reference);
-
-  BatchExecutor keyed(options);
-  keyed.SetShardCells(ComponentCells(g));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_empty,
-                       keyed.Execute(*oracle, {}));
-  EXPECT_TRUE(keyed_empty.empty());
-  ASSERT_OK_AND_ASSIGN(std::vector<double> keyed_single,
-                       keyed.Execute(*oracle, single));
-  ASSERT_EQ(keyed_single.size(), 1u);
-  EXPECT_EQ(keyed_single[0], reference);
 
   // A single INVALID pair still reports the kernel's error, not UB.
   std::vector<VertexPair> bad = {{0, 99}};

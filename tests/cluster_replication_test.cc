@@ -394,7 +394,7 @@ TEST(ClusterReplicationTest, BudgetIsChargedExactlyOnceOnTheCoordinator) {
     // The refusal is a routing answer, not an admission event.
     EXPECT_EQ(node.server->stats().budget_rejected, 0u);
   }
-  // The coordinator aggregates its read tier in Stats v5. The query
+  // The coordinator aggregates its read tier in Stats. The query
   // counters ride the replicas' periodic idle acks; poll for them.
   net::ServerStats coordinator_stats = fixture.server().stats();
   for (int i = 0; i < 500 && coordinator_stats.replica_queries_served < 2;

@@ -3,17 +3,15 @@
 // table, dyadic block sums, released estimate vectors) is allocated
 // through AlignedAllocator and must start on a 64-byte cache-line
 // boundary. The gather kernels don't require alignment for correctness —
-// this is a perf invariant (no split-line loads at buffer starts, clean
-// NUMA page placement), locked here so a refactor back to plain
-// std::vector shows up as a test failure instead of a silent regression.
+// this is a perf invariant (no split-line loads at buffer starts), locked
+// here so a refactor back to plain std::vector shows up as a test failure
+// instead of a silent regression.
 
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/aligned.h"
-#include "core/bounded_weight.h"
-#include "core/hld_oracle.h"
 #include "core/oracle_registry.h"
 #include "core/range_sums.h"
 #include "core/tree_distance.h"
@@ -66,50 +64,6 @@ TEST(FlatLayoutAlignmentTest, DyadicBlocksAreCacheAligned) {
   NoisyDyadicRangeSums::FlatView flat = sums.Flat();
   EXPECT_TRUE(IsCacheAligned(flat.blocks));
   EXPECT_TRUE(IsCacheAligned(flat.level_offset));
-}
-
-// Every buffer an oracle reports for NUMA placement is a real released
-// array: non-null, non-empty, labelled, and cache-aligned.
-void ExpectAlignedReleasedBuffers(const DistanceOracle& oracle,
-                                  size_t min_buffers) {
-  std::vector<ReleasedBuffer> buffers;
-  oracle.AppendReleasedBuffers(&buffers);
-  EXPECT_GE(buffers.size(), min_buffers) << oracle.Name();
-  for (const ReleasedBuffer& b : buffers) {
-    EXPECT_NE(b.data, nullptr) << oracle.Name() << " " << b.label;
-    EXPECT_GT(b.bytes, 0u) << oracle.Name() << " " << b.label;
-    EXPECT_STRNE(b.label, "") << oracle.Name();
-    EXPECT_TRUE(IsCacheAligned(b.data)) << oracle.Name() << " " << b.label;
-  }
-}
-
-TEST(FlatLayoutAlignmentTest, OracleReleasedBuffersAreCacheAligned) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(kNumVertices, &rng));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  for (const char* name : {TreeAllPairsOracle::kName, HldTreeOracle::kName,
-                           BoundedWeightOracle::kName}) {
-    ASSERT_OK_AND_ASSIGN(
-        ReleaseContext ctx,
-        ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-    ASSERT_OK_AND_ASSIGN(auto oracle,
-                         OracleRegistry::Global().Create(name, g, w, ctx));
-    ExpectAlignedReleasedBuffers(*oracle, 2);
-  }
-}
-
-TEST(FlatLayoutAlignmentTest, BaseOracleReportsNoBuffersByDefault) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(8));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext ctx,
-      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  ASSERT_OK_AND_ASSIGN(auto oracle, OracleRegistry::Global().Create(
-                                        "per-pair-laplace", g, w, ctx));
-  std::vector<ReleasedBuffer> buffers;
-  oracle->AppendReleasedBuffers(&buffers);
-  EXPECT_TRUE(buffers.empty());
 }
 
 TEST(FlatLayoutAlignmentTest, ReleasedEstimatesAreCacheAligned) {

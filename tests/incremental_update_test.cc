@@ -3,7 +3,7 @@
 // of the per-epoch dirty-fraction charges, clean regions keep their noise
 // bit-for-bit, the update path is deterministic under fixed seeds, and
 // sharded execution stays bit-identical to serial across epochs. Also the
-// range-sums point-update primitive and the executor's update routing.
+// range-sums point-update primitive.
 
 #include <cmath>
 #include <memory>
@@ -340,63 +340,6 @@ TEST(IncrementalUpdateTest, InvalidDeltasAreRejectedWithoutCharge) {
   EXPECT_OK(oracle->ApplyWeightUpdates({}, ctx));
   EXPECT_DOUBLE_EQ(ctx.accountant().BasicTotal().epsilon, spent);
   EXPECT_EQ(oracle->last_update().dirty_edges, 0);
-}
-
-// --------------------------------------------------- executor routing --
-
-TEST(BatchExecutorUpdateTest, RoutesDeltasToShardCellsAndApplies) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph graph, MakeRandomTree(128, &rng));
-  EdgeWeights w = MakeUniformWeights(graph, 0.1, 0.9, &rng);
-  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
-                       ReleaseContext::Create(kParams, kTestSeed));
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> oracle,
-                       HldTreeOracle::Build(graph, w, ctx));
-
-  // Artificial 4-cell map (vertex id mod 4): enough to exercise routing.
-  BatchExecutor executor;
-  std::vector<int> cells(128);
-  for (size_t v = 0; v < cells.size(); ++v) cells[v] = static_cast<int>(v % 4);
-  executor.SetShardCells(cells);
-
-  std::vector<EdgeWeightDelta> deltas = RandomDeltas(graph.num_edges(), 6,
-                                                     &rng);
-  ASSERT_OK_AND_ASSIGN(
-      BatchExecutor::UpdateReport report,
-      executor.ApplyUpdates(*oracle, graph, deltas, ctx));
-  EXPECT_GT(report.dirty_cells, 0);
-  EXPECT_LE(report.dirty_cells, 4);
-  EXPECT_EQ(report.dirty_blocks, oracle->last_update().dirty_blocks);
-  EXPECT_DOUBLE_EQ(report.charged_epsilon,
-                   oracle->last_update().charged_epsilon);
-
-  // Queries through the keyed executor still match serial bit-for-bit.
-  std::vector<VertexPair> pairs = SampleTreePairs(128, 256, &rng);
-  ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
-                       executor.Execute(*oracle, pairs));
-  ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
-                       DistanceBatchOf(*oracle, pairs, 1));
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(sharded[i], serial[i]);
-  }
-}
-
-TEST(BatchExecutorUpdateTest, BuildOnceOracleIsRefused) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph graph, MakePathGraph(16));
-  EdgeWeights w = MakeUniformWeights(graph, 0.1, 0.9, &rng);
-  ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
-                       ReleaseContext::Create(kParams, kTestSeed));
-  ASSERT_OK_AND_ASSIGN(
-      std::unique_ptr<DistanceOracle> oracle,
-      OracleRegistry::Global().Create("tree-recursive", graph, w, ctx));
-  ASSERT_EQ(oracle->AsUpdatable(), nullptr);
-
-  BatchExecutor executor;
-  std::vector<EdgeWeightDelta> deltas = {{0, 1.0}};
-  Status refused =
-      executor.ApplyUpdates(*oracle, graph, deltas, ctx).status();
-  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(RegistrySpecTest, OnlyTreeHldAdvertisesUpdatability) {

@@ -74,15 +74,13 @@ TEST(ClientRetryTest, OverloadedIsRetriedUntilTheServerRecovers) {
     std::vector<uint8_t> error = net::EncodeError(
         net::ErrorKind::kOverloaded,
         Status::Unavailable("queue full, retry later"));
-    (void)net::WriteFrame(socket, net::MessageType::kError, error,
-                          first->version);
+    (void)net::WriteFrame(socket, net::MessageType::kError, error);
     Result<net::Frame> retry = net::ReadFrame(socket);
     if (!retry.ok()) return;
     net::ServerStats stats;
     stats.queries_served = 7;
     (void)net::WriteFrame(socket, net::MessageType::kStatsResponse,
-                          net::EncodeServerStats(stats, retry->version),
-                          retry->version);
+                          net::EncodeServerStats(stats));
   });
 
   net::ClientOptions options;

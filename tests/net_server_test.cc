@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -284,34 +283,6 @@ TEST(NetServerTest, DrainModeShedsQueriesWithTypedOverload) {
   EXPECT_EQ(fixture.server().stats().overload_rejected, 1u);
 }
 
-TEST(NetServerTest, AdmissionPacerCapsSustainedQueryThroughput) {
-  // 100k pairs/s ceiling, 1000-pair batches: admitted starts are spaced
-  // 10ms apart, so after the first (unpaced) batch, five more must take
-  // at least 50ms of wall clock. The lower bound is exact (sleep_until
-  // never wakes early), so this cannot flake on a slow machine.
-  net::QueryServerOptions options;
-  options.max_query_pairs_per_sec = 100e3;
-  ServerFixture fixture(options);
-  net::Client client = fixture.Connect();
-  ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
-                       client.Release("path", "tree-hld", "paced"));
-  Rng rng(kServerSeed);
-  std::vector<VertexPair> pairs =
-      SampleTestPairs(kNumVertices, 1000, &rng);
-  ASSERT_OK(client.Query(info.handle_id, pairs).status());  // seeds pacer
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_OK(client.Query(info.handle_id, pairs).status());
-  }
-  const double elapsed_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_GE(elapsed_ms, 50.0);
-  // Paced batches are delayed, never shed: no overload rejections.
-  EXPECT_EQ(fixture.server().stats().overload_rejected, 0u);
-}
-
 TEST(NetServerTest, ConnectionLimitRejectsWithTypedOverload) {
   net::QueryServerOptions options;
   options.max_connections = 1;
@@ -349,36 +320,9 @@ TEST(NetServerTest, MalformedFrameGetsTypedErrorAndCloses) {
   EXPECT_FALSE(closed.ok());
 }
 
-TEST(NetProtocolTest, ServerStatsV1BodyDecodesWithoutAccounting) {
-  // Backward-compatible decode: a v1 peer's StatsResponse body ends after
-  // the counters; the accounting extension stays at its defaults.
-  net::ServerStats stats;
-  stats.queries_served = 7;
-  stats.open_handles = 2;
-  stats.accounting_policy =
-      static_cast<uint16_t>(AccountingPolicy::kZcdp);
-  stats.spent_epsilon = 1.25;
-  std::vector<uint8_t> body = net::EncodeServerStats(stats);
-  constexpr size_t kV1BodyBytes = 6 * 8 + 4;
-  body.resize(kV1BodyBytes);  // what a v1 peer would have sent
-  ASSERT_OK_AND_ASSIGN(net::ServerStats decoded,
-                       net::DecodeServerStats(body));
-  EXPECT_EQ(decoded.queries_served, 7u);
-  EXPECT_EQ(decoded.open_handles, 2u);
-  EXPECT_FALSE(decoded.has_accounting);
-  EXPECT_EQ(decoded.accounting_policy, 0u);
-  EXPECT_DOUBLE_EQ(decoded.spent_epsilon, 0.0);
-
-  // A truncated extension is still a malformed body, not a v1 peer.
-  std::vector<uint8_t> torn = net::EncodeServerStats(stats);
-  torn.pop_back();
-  EXPECT_FALSE(net::DecodeServerStats(torn).ok());
-}
-
 TEST(NetProtocolTest, ServerStatsV2RoundTripsAccounting) {
   net::ServerStats stats;
   stats.releases_granted = 3;
-  stats.has_accounting = true;
   stats.accounting_policy =
       static_cast<uint16_t>(AccountingPolicy::kAdvanced);
   stats.spent_epsilon = 0.75;
@@ -388,7 +332,6 @@ TEST(NetProtocolTest, ServerStatsV2RoundTripsAccounting) {
   std::vector<uint8_t> body = net::EncodeServerStats(stats);
   ASSERT_OK_AND_ASSIGN(net::ServerStats decoded,
                        net::DecodeServerStats(body));
-  EXPECT_TRUE(decoded.has_accounting);
   EXPECT_EQ(decoded.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kAdvanced));
   EXPECT_DOUBLE_EQ(decoded.spent_epsilon, 0.75);
@@ -420,7 +363,6 @@ TEST(NetServerTest, StatsRoundTripRemainingBudgetUnderActivePolicy) {
   ASSERT_OK(client.Release("path", "bounded-weight-gaussian", "g2").status());
 
   ASSERT_OK_AND_ASSIGN(net::ServerStats stats, client.Stats());
-  ASSERT_TRUE(stats.has_accounting);
   EXPECT_EQ(stats.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kZcdp));
   // Reproduce the expected position: two GaussianFromParams charges under
@@ -432,33 +374,6 @@ TEST(NetServerTest, StatsRoundTripRemainingBudgetUnderActivePolicy) {
   EXPECT_DOUBLE_EQ(stats.remaining_epsilon, budget.epsilon - expected_eps);
   EXPECT_DOUBLE_EQ(stats.remaining_delta, budget.delta - kDeltaSlack);
   server.Stop();
-}
-
-TEST(NetServerTest, V1PeerGetsV1HeaderAndV1StatsBody) {
-  // Rolling-upgrade compatibility: a v1 client's frames carry version 1,
-  // and its ReadFrame rejects anything but version 1 — so the server must
-  // echo the request's version and encode the v1 stats body shape.
-  ServerFixture fixture;
-  ASSERT_OK_AND_ASSIGN(
-      net::Socket socket,
-      net::Connect("127.0.0.1", fixture.server().port()));
-  ASSERT_OK(net::WriteFrame(socket, net::MessageType::kStatsRequest, {},
-                            /*version=*/1));
-  ASSERT_OK_AND_ASSIGN(net::Frame response, net::ReadFrame(socket));
-  EXPECT_EQ(response.version, 1u);
-  EXPECT_EQ(response.type, net::MessageType::kStatsResponse);
-  EXPECT_EQ(response.body.size(), 6u * 8u + 4u);  // counters only
-  ASSERT_OK_AND_ASSIGN(net::ServerStats stats,
-                       net::DecodeServerStats(response.body));
-  EXPECT_FALSE(stats.has_accounting);
-
-  // The same request at v2 gets the extension on the same server.
-  ASSERT_OK(net::WriteFrame(socket, net::MessageType::kStatsRequest, {}));
-  ASSERT_OK_AND_ASSIGN(net::Frame v2_response, net::ReadFrame(socket));
-  EXPECT_EQ(v2_response.version, net::kProtocolVersion);
-  ASSERT_OK_AND_ASSIGN(net::ServerStats v2_stats,
-                       net::DecodeServerStats(v2_response.body));
-  EXPECT_TRUE(v2_stats.has_accounting);
 }
 
 TEST(NetServerTest, StatsReportInfiniteHeadroomWithoutBudget) {
@@ -473,7 +388,6 @@ TEST(NetServerTest, StatsReportInfiniteHeadroomWithoutBudget) {
   net::Client client = net::Client::Connect("127.0.0.1",
                                             server.port()).value();
   ASSERT_OK_AND_ASSIGN(net::ServerStats stats, client.Stats());
-  ASSERT_TRUE(stats.has_accounting);
   EXPECT_EQ(stats.accounting_policy,
             static_cast<uint16_t>(AccountingPolicy::kBasic));
   EXPECT_TRUE(std::isinf(stats.remaining_epsilon));
@@ -540,7 +454,7 @@ TEST(NetServerTest, Survives8ConcurrentClientConnections) {
             static_cast<uint64_t>(kClients * kBatchesPerClient * 400));
 }
 
-// -------------------------------------------------- v3 UpdateWeights --
+// ------------------------------------------------------- UpdateWeights --
 
 TEST(NetServerTest, UpdateRoundTripMatchesLocalReplayBitForBit) {
   ServerFixture fixture;

@@ -9,7 +9,7 @@ series the benches emit is compared per mechanism and series:
                                              R3 serving throughput (plain-
                                              batch and sharded), R4 update
                                              epochs, and the R5 scalar/
-                                             AVX2/NUMA dispatch series
+                                             AVX2 dispatch series
   BENCH_server.json    (bench_server_loadgen) end-to-end wire ops/sec and
                                              the in-process direct baseline
 
@@ -57,8 +57,8 @@ def ops_series(doc):
                         f"@{row.get('drift', 'uniform')}"
                         f"-{row.get('dirty_fraction', '?')}")
                 yield "update", name, float(row["deltas_per_sec"])
-        # R5: the scalar/AVX2 dispatch A/B and the NUMA-aware executor.
-        # Both legs are tracked independently — a scalar regression is a
+        # R5: the scalar/AVX2 dispatch A/B. Both legs are tracked
+        # independently — a scalar regression is a
         # kernel-semantics change, an avx2-only regression is a dispatch
         # or vectorization change.
         for row in doc.get("simd", {}).get("runs", []):
@@ -67,10 +67,6 @@ def ops_series(doc):
                 yield "simd", f"{tag}-scalar", float(row["scalar_ops_per_sec"])
             if row.get("avx2_ops_per_sec"):
                 yield "simd", f"{tag}-avx2", float(row["avx2_ops_per_sec"])
-        for row in doc.get("numa", {}).get("runs", []):
-            tag = f"{row.get('name', '?')}@V{row.get('V', '?')}"
-            if row.get("ops_per_sec"):
-                yield "numa", tag, float(row["ops_per_sec"])
     elif bench == "bench_server_loadgen":
         for row in doc.get("mechanisms", []):
             if row.get("ops_per_sec"):
@@ -81,13 +77,6 @@ def ops_series(doc):
         mixed = doc.get("mixed", {})
         if mixed.get("ops_per_sec"):
             yield "mixed", mixed.get("name", "?"), float(mixed["ops_per_sec"])
-        # S3: read-tier scale-out — one series point per replica count, so
-        # a lost scaling win (x4 regressing to x1 throughput) is flagged
-        # even when the single-node numbers hold steady.
-        for row in doc.get("replica", []):
-            if row.get("ops_per_sec"):
-                yield ("replica", f"x{row.get('replicas', '?')}",
-                       float(row["ops_per_sec"]))
     else:
         print(f"::warning::unrecognized bench JSON ('{bench}'), skipping")
 
