@@ -3,10 +3,13 @@
 // the paper is a polynomial-time algorithm and should remain fast at
 // realistic network sizes.
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
 #include "core/bounded_weight.h"
+#include "core/hld_oracle.h"
 #include "core/path_graph.h"
 #include "core/private_shortest_path.h"
 #include "core/tree_distance.h"
@@ -105,6 +108,34 @@ void BM_PathOracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathOracleQuery);
+
+// The tree-hld batch kernel, single-threaded, on the serving benchmark's
+// two trees: arg 0 is a random tree of 131072 vertices at 16384 pairs per
+// call, arg 1 a 16384 x 7 caterpillar at 4096 pairs per call.
+void BM_HldDistanceInto(benchmark::State& state) {
+  Rng rng(kBenchSeed);
+  const bool caterpillar = state.range(0) == 1;
+  Graph g = caterpillar ? OrDie(MakeCaterpillarTree(16384, 7))
+                        : OrDie(MakeRandomTree(131072, &rng));
+  const int batch = caterpillar ? 4096 : 16384;
+  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
+  PrivacyParams params{1.0, 0.0, 1.0};
+  auto oracle = OrDie(HldTreeOracle::Build(g, w, params, &rng));
+  const int n = g.num_vertices();
+  std::vector<VertexPair> pairs;
+  pairs.reserve(static_cast<size_t>(batch));
+  for (int i = 0; i < batch; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  std::vector<double> out(pairs.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle->DistanceInto(pairs, out.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_HldDistanceInto)->Arg(0)->Arg(1);
 
 void BM_Algorithm3Release(benchmark::State& state) {
   Rng rng(kBenchSeed);

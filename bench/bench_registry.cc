@@ -572,9 +572,9 @@ void Run(const char* csv_path, const char* json_path) {
   std::puts(
       "\nShape check: every mechanism builds once through the shared "
       "pipeline and the\nbatched path answers at memory speed; the sharded "
-      "executor matches DistanceBatch\nbit-for-bit while pinning shards to "
-      "workers. Bounded-weight build time drops as\nthe Z-center Dijkstra "
-      "fan-out widens (R3b).");
+      "executor matches DistanceBatch\nbit-for-bit while splitting each batch "
+      "into\ncontiguous shards. Bounded-weight build time drops as the "
+      "Z-center Dijkstra\nfan-out widens (R3b).");
 }
 
 }  // namespace

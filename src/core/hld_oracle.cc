@@ -260,69 +260,141 @@ void HldTreeOracle::RecomputeAscentCosts(int c) {
   }
 }
 
+namespace {
+
+// Pairs per block of the batch kernel. The per-endpoint scratch of one
+// block (2 x 256 endpoints, about 24 KB) lives on the stack.
+constexpr int kBlockPairs = 256;
+constexpr int kBlockEnds = 2 * kBlockPairs;
+
+}  // namespace
+
 Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
                                    double* out) const {
-  // Single fused pass: bounds checks fold into the loop, and each query is
-  // an O(1) LCA lookup plus two unchecked chain ascents — no per-query
-  // Result or virtual dispatch.
+  // Blocked, level-synchronous kernel. Per block: every LCA, then rounds
+  // of one chain crossing per still-climbing endpoint, then rounds of one
+  // dyadic block per endpoint with range left. Each round's loads are
+  // independent across endpoints, so their cache misses overlap, and the
+  // per-endpoint "done" test only compacts the worklist instead of ending
+  // a loop the branch predictor cannot guess. Every endpoint adds the same
+  // values in the same order as DistanceToAncestor, so the answers are
+  // bit-identical to Distance().
+  static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
+                "kernels reinterpret VertexPair as two packed int32s");
   const unsigned n = static_cast<unsigned>(tree_->num_vertices());
   const EulerTourLca& lca = *lca_;
 #if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && pairs.size() >= 8 && lca.SimdCompatible()) {
-    static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                  "kernels reinterpret VertexPair as two packed int32s");
-    // Blocked two-phase kernel: the LCA lookups of a block vectorize
-    // (gather over the packed sparse table), then the irregular chain
-    // ascents run scalar with the next pair's first touches prefetched.
-    constexpr size_t kBlock = 256;
-    int32_t z[kBlock];
-    for (size_t done = 0; done < pairs.size(); done += kBlock) {
-      const size_t chunk = std::min(kBlock, pairs.size() - done);
-      int bad = simd::LcaBatchAvx2(
-          lca.Flat(), reinterpret_cast<const int32_t*>(pairs.data() + done),
-          static_cast<int>(chunk), z);
-      if (bad >= 0) return Status::InvalidArgument("vertex out of range");
-      for (size_t j = 0; j < chunk; ++j) {
-        if (j + 1 < chunk) {
-          const auto& [pu, pv] = pairs[done + j + 1];
-          __builtin_prefetch(&chain_of_[static_cast<size_t>(pu)]);
-          __builtin_prefetch(&chain_of_[static_cast<size_t>(pv)]);
-          __builtin_prefetch(&ascent_cost_[static_cast<size_t>(pu)]);
-          __builtin_prefetch(&ascent_cost_[static_cast<size_t>(pv)]);
+  const bool simd_lca = SimdKernelsEnabled() && lca.SimdCompatible();
+#endif
+  // Endpoint 2j is pair j's u, 2j + 1 its v.
+  int32_t z[kBlockPairs];
+  VertexId at[kBlockEnds];  // the climbing vertex; ends on the LCA's chain
+  int chain[kBlockEnds];    // the chain `at` is on
+  int target[kBlockEnds];   // the LCA's chain
+  double climb[kBlockEnds];
+  const NoisyDyadicRangeSums* sums[kBlockEnds];  // the LCA chain's blocks
+  double range[kBlockEnds];
+  int lo[kBlockEnds];
+  int hi[kBlockEnds];
+  uint16_t work[kBlockEnds];  // live endpoints, compacted every round
+
+  for (size_t done = 0; done < pairs.size(); done += kBlockPairs) {
+    const VertexPair* block = pairs.data() + done;
+    const int count =
+        static_cast<int>(std::min<size_t>(kBlockPairs, pairs.size() - done));
+    const int ends = 2 * count;
+
+    // LCA phase, with the bounds check.
+    bool have_lca = false;
+#if defined(DPSP_HAVE_AVX2)
+    if (simd_lca) {
+      if (simd::LcaBatchAvx2(lca.Flat(),
+                             reinterpret_cast<const int32_t*>(block), count,
+                             z) >= 0) {
+        return Status::InvalidArgument("vertex out of range");
+      }
+      have_lca = true;
+    }
+#endif
+    if (!have_lca) {
+      for (int j = 0; j < count; ++j) {
+        const auto& [u, v] = block[j];
+        if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
+          return Status::InvalidArgument("vertex out of range");
         }
-        const auto& [u, v] = pairs[done + j];
-        out[done + j] =
-            DistanceToAncestor(u, z[j]) + DistanceToAncestor(v, z[j]);
+        z[j] = lca.LcaUnchecked(u, v);
       }
     }
-    return Status::Ok();
-  }
-#endif
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [u, v] = pairs[i];
-    if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
-      return Status::InvalidArgument("vertex out of range");
+
+    // Climb phase: each round, every endpoint still off its LCA's chain
+    // pays its cached ascent cost and lands on the head's parent.
+    for (int j = 0; j < count; ++j) {
+      at[2 * j] = block[j].first;
+      at[2 * j + 1] = block[j].second;
+      target[2 * j] = target[2 * j + 1] =
+          chain_of_[static_cast<size_t>(z[j])];
     }
-    VertexId z = lca.LcaUnchecked(u, v);
-    out[i] = DistanceToAncestor(u, z) + DistanceToAncestor(v, z);
+    int live = 0;
+    for (int e = 0; e < ends; ++e) {
+      chain[e] = chain_of_[static_cast<size_t>(at[e])];
+      climb[e] = 0.0;
+      work[live] = static_cast<uint16_t>(e);
+      live += chain[e] != target[e];
+    }
+    while (live > 0) {
+      int next_live = 0;
+      for (int k = 0; k < live; ++k) {
+        const int e = work[k];
+        const VertexId parent = head_parent_[static_cast<size_t>(chain[e])];
+        DPSP_CHECK_MSG(parent != -1, "climbed past the root during HLD ascent");
+        climb[e] += ascent_cost_[static_cast<size_t>(at[e])];
+        at[e] = parent;
+        chain[e] = chain_of_[static_cast<size_t>(parent)];
+        work[next_live] = static_cast<uint16_t>(e);
+        next_live += chain[e] != target[e];
+      }
+      live = next_live;
+    }
+
+    // Range phase: each round, every endpoint with range left takes one
+    // dyadic block of [pos(lca), pos(at)) on the LCA's chain.
+    live = 0;
+    for (int e = 0; e < ends; ++e) {
+      sums[e] = &chains_[static_cast<size_t>(target[e])];
+      lo[e] = pos_in_chain_[static_cast<size_t>(z[e / 2])];
+      hi[e] = pos_in_chain_[static_cast<size_t>(at[e])];
+      range[e] = 0.0;
+      work[live] = static_cast<uint16_t>(e);
+      live += lo[e] < hi[e];
+    }
+    while (live > 0) {
+      int next_live = 0;
+      for (int k = 0; k < live; ++k) {
+        const int e = work[k];
+        range[e] += sums[e]->TakeBlock(&lo[e], hi[e]);
+        work[next_live] = static_cast<uint16_t>(e);
+        next_live += lo[e] < hi[e];
+      }
+      live = next_live;
+    }
+
+    for (int j = 0; j < count; ++j) {
+      out[done + static_cast<size_t>(j)] =
+          (climb[2 * j] + range[2 * j]) + (climb[2 * j + 1] + range[2 * j + 1]);
+    }
   }
   return Status::Ok();
 }
 
 double HldTreeOracle::DistanceToAncestor(VertexId v, VertexId z) const {
-  // Each crossing is two flat loads: the precomputed ascent cost (chain
-  // prefix + light edge, cached at build as post-processing of the same
-  // released blocks) and the landing vertex.
+  // Each crossing adds the cached ascent cost (chain prefix + light edge)
+  // and lands on the head's parent; the last chain is a range sum.
   double sum = 0.0;
   const int chain_z = chain_of_[static_cast<size_t>(z)];
   while (chain_of_[static_cast<size_t>(v)] != chain_z) {
     int c = chain_of_[static_cast<size_t>(v)];
     VertexId next = head_parent_[static_cast<size_t>(c)];
     DPSP_CHECK_MSG(next != -1, "climbed past the root during HLD ascent");
-    // The landing vertex's loads miss almost always on large trees; issue
-    // them now so they overlap the current crossing's add.
-    __builtin_prefetch(&chain_of_[static_cast<size_t>(next)]);
-    __builtin_prefetch(&ascent_cost_[static_cast<size_t>(next)]);
     sum += ascent_cost_[static_cast<size_t>(v)];
     v = next;
   }
@@ -386,6 +458,10 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   if (!(release_epsilon > 0.0)) {
     return Status::InvalidArgument("snapshot hld release epsilon must be > 0");
   }
+  if (!(noise_scale > 0.0) || std::isinf(noise_scale)) {
+    return Status::InvalidArgument(
+        "snapshot hld noise scale must be finite and > 0");
+  }
 
   // Rebuild the deterministic skeleton (chains, LCA, membership) with a
   // throwaway noise stream, then overwrite every noisy value with the
@@ -397,6 +473,18 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   DPSP_ASSIGN_OR_RETURN(
       std::unique_ptr<HldTreeOracle> oracle,
       Build(graph, w, scratch_params, &scratch_rng, root));
+
+  // Sensitivity and draw count are functions of the public topology: a
+  // snapshot that disagrees with the rebuilt skeleton would misprice every
+  // later epoch (a sensitivity of 0 makes it charge eps * g / 0 = inf).
+  if (sensitivity != oracle->sensitivity_ ||
+      num_noisy_values != oracle->num_noisy_values_) {
+    return Status::InvalidArgument(StrFormat(
+        "snapshot hld sensitivity %d and noise draws %d do not match the "
+        "graph's %d and %d",
+        sensitivity, num_noisy_values, oracle->sensitivity_,
+        oracle->num_noisy_values_));
+  }
 
   const size_t num_chains = oracle->chains_.size();
   DPSP_ASSIGN_OR_RETURN(
@@ -441,8 +529,6 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
   }
   std::copy(light.begin(), light.end(), oracle->light_noisy_.begin());
   oracle->noise_scale_ = noise_scale;
-  oracle->sensitivity_ = sensitivity;
-  oracle->num_noisy_values_ = num_noisy_values;
   oracle->release_epsilon_ = release_epsilon;
   for (size_t c = 0; c < num_chains; ++c) {
     oracle->RecomputeAscentCosts(static_cast<int>(c));

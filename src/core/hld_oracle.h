@@ -68,9 +68,11 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
       Rng* rng, VertexId root = -1);
 
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Fused serial kernel: an O(1) Euler-tour LCA plus two unchecked chain
-  /// ascents per pair, full-chain climbs answered by the countr_zero
-  /// prefix specialization of the dyadic structure.
+  /// Blocked serial kernel, 256 pairs at a time: the block's LCAs first
+  /// (AVX2 gathers when dispatch allows), then level-synchronous rounds
+  /// over its 512 endpoints — one chain crossing per climbing endpoint per
+  /// round, then one dyadic block per endpoint with range left — so cache
+  /// misses overlap across pairs. Bit-identical to Distance().
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
@@ -153,8 +155,7 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   // Ascent hot-path caches, pure post-processing of the release computed
   // once at build: ascent_cost_[v] is the noisy cost of climbing from v
   // off the top of its chain (the chain-prefix block sum plus the light
-  // edge — the exact value the ascent loop previously recomputed per
-  // query), and head_parent_[c] is the vertex the climb lands on.
+  // edge), and head_parent_[c] is the vertex the climb lands on.
   AlignedVector<double> ascent_cost_;
   AlignedVector<VertexId> head_parent_;
 };

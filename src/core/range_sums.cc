@@ -163,16 +163,9 @@ void NoisyDyadicRangeSums::PrefixSumsUnchecked(std::span<const int> his,
 
 double NoisyDyadicRangeSums::SumRange(int lo, int hi, int* segments) const {
   double sum = 0.0;
-  int levels = num_levels();
   while (lo < hi) {
-    int level = 0;
-    while (level + 1 < levels && lo % (1 << (level + 1)) == 0 &&
-           lo + (1 << (level + 1)) <= hi) {
-      ++level;
-    }
-    sum += blocks_[BlockSlot(level, lo >> level)];
+    sum += TakeBlock(&lo, hi);
     if (segments != nullptr) ++(*segments);
-    lo += 1 << level;
   }
   return sum;
 }

@@ -8,7 +8,9 @@
 // so releasing the whole structure is a single Laplace-mechanism
 // invocation with l1 sensitivity (#levels) * (per-index sensitivity of x).
 // Any range sum over [lo, hi) is answered from at most 2 #levels noisy
-// blocks.
+// blocks, taken greedily front to back: each block is the widest dyadic
+// block that starts at lo and fits, and its level is computed in O(1)
+// from the alignment of lo and the width hi - lo.
 //
 // The structure is incrementally releasable: a point update x[i] = v
 // invalidates exactly one block per level (the #levels blocks containing
@@ -24,6 +26,7 @@
 #define DPSP_CORE_RANGE_SUMS_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -59,16 +62,33 @@ class NoisyDyadicRangeSums {
   Result<double> RangeSum(int lo, int hi, int* segments = nullptr) const;
 
   /// RangeSum without validation or segment counting; the caller must
-  /// guarantee 0 <= lo <= hi <= size. The batched-query hot path.
+  /// guarantee 0 <= lo <= hi <= size.
   double RangeSumUnchecked(int lo, int hi) const;
 
-  /// Specialized RangeSumUnchecked(0, hi): a prefix [0, hi) decomposes
-  /// into exactly one dyadic block per set bit of hi (the popcount(hi)
-  /// blocks a Fenwick walk would visit), found by std::countr_zero instead
-  /// of the level-probing loop the general decomposition pays per block.
-  /// The HLD oracle's full-chain ascents are all prefix queries, so this
-  /// cuts the chain-ascent constant in the batch hot path. Caller must
-  /// guarantee 0 <= hi <= size.
+  /// One step of the RangeSum decomposition: returns the noisy sum of the
+  /// block RangeSum takes at *lo and advances *lo past it. Requires
+  /// 0 <= *lo < hi <= size. Summing the steps from 0.0 until *lo == hi
+  /// reproduces RangeSumUnchecked(lo, hi) bit for bit, which lets a batch
+  /// kernel interleave the decompositions of many ranges.
+  double TakeBlock(int* lo, int hi) const {
+    // The widest block at lo is capped three ways: by the alignment of lo
+    // (countr_zero(0) = 32 leaves lo = 0 uncapped), by the width left in
+    // the range, and by the top level.
+    const int level =
+        std::min({std::countr_zero(static_cast<unsigned>(*lo)),
+                  static_cast<int>(std::bit_width(
+                      static_cast<unsigned>(hi - *lo))) - 1,
+                  num_levels() - 1});
+    const double block = blocks_[BlockSlot(level, *lo >> level)];
+    *lo += 1 << level;
+    return block;
+  }
+
+  /// The prefix [0, hi) as one dyadic block per set bit of hi, walked
+  /// lowest bit first (the Fenwick order) — the same blocks RangeSum
+  /// takes, summed back to front. The HLD ascent caches are built from
+  /// this walk, so its order is part of the released answers' bits.
+  /// Caller must guarantee 0 <= hi <= size.
   double PrefixSumUnchecked(int hi) const;
 
   /// Batched PrefixSumUnchecked: out[i] = noisy sum over [0, his[i]) for
@@ -128,7 +148,7 @@ class NoisyDyadicRangeSums {
   static int LevelsForSize(int size);
 
  private:
-  // The shared greedy dyadic decomposition behind both query paths.
+  // The greedy decomposition behind RangeSum and RangeSumUnchecked.
   double SumRange(int lo, int hi, int* segments) const;
 
   // blocks_ slot of dyadic block j at level l.

@@ -10,6 +10,7 @@
 
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -85,14 +86,18 @@ Result<std::span<const T>> Require(
 }
 
 /// An int stored as a double in a scalar-metadata section; rejects values
-/// that do not round-trip (corrupt or lying metadata).
+/// that are not finite integers in int range (corrupt or lying metadata).
+/// The range check comes first: casting NaN or an out-of-range double to
+/// int is undefined behaviour.
 inline Result<int> AsInt(double value, const char* what) {
-  int as_int = static_cast<int>(value);
-  if (static_cast<double>(as_int) != value) {
+  constexpr double kMin = std::numeric_limits<int>::min();
+  constexpr double kMax = std::numeric_limits<int>::max();
+  if (!(value >= kMin && value <= kMax) ||
+      static_cast<double>(static_cast<int>(value)) != value) {
     return Status::InvalidArgument(
-        StrFormat("%s is not an integer (%g)", what, value));
+        StrFormat("%s is not an int (%g)", what, value));
   }
-  return as_int;
+  return static_cast<int>(value);
 }
 
 }  // namespace released_state

@@ -5,8 +5,9 @@
 // structure, so a batch of pairs can be partitioned arbitrarily. The
 // executor splits an incoming span into contiguous shards, runs each
 // shard's slice through the oracle's fused serial DistanceInto kernel on
-// a worker of the common ParallelFor pool, and each kernel writes its own
-// slice of the output, so results come back in input order with no merge.
+// a thread ParallelFor starts for the call (there is no standing pool),
+// and each kernel writes its own slice of the output, so results come
+// back in input order with no merge.
 //
 // Every shard runs the same serial kernel over the same pairs, so sharded
 // and serial results are bit-identical.

@@ -1,11 +1,18 @@
 #include "core/hld_oracle.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu.h"
 #include "common/random.h"
+#include "core/released_state.h"
 #include "core/tree_distance.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -171,6 +178,156 @@ TEST(HldOracleTest, ComparableErrorRegimeToRecursiveOracle) {
                        EvaluateOracleAllPairs(g, exact, *recursive));
   EXPECT_LT(hld_report.mean_abs_error, 10.0 * rec_report.mean_abs_error);
   EXPECT_LT(rec_report.mean_abs_error, 10.0 * hld_report.mean_abs_error);
+}
+
+// The blocked batch kernel against the per-pair reference, bit for bit:
+// batch sizes on both sides of the 256-pair block, before and after
+// update epochs, under both dispatch modes.
+class HldKernelConformanceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(HldKernelConformanceTest, DistanceIntoMatchesPerPairDistance) {
+  const int family = GetParam();
+  Rng rng(kTestSeed + static_cast<uint64_t>(family));
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeFamilyTree(family, 2048, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
+  ASSERT_OK_AND_ASSIGN(
+      ReleaseContext ctx,
+      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> oracle,
+                       HldTreeOracle::Build(g, w, ctx));
+  const int n = g.num_vertices();
+  std::vector<VertexPair> pairs;
+  for (int i = 0; i < 1000; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, n - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, n - 1)));
+  }
+  pairs[3] = {0, 0};
+  pairs[4] = {n - 1, n - 1};
+  pairs[5] = {0, n - 1};
+  pairs[300] = {n - 1, 0};
+
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    if (epoch > 0) {
+      std::vector<EdgeWeightDelta> deltas;
+      for (int k = 0; k < 16; ++k) {
+        deltas.push_back({static_cast<EdgeId>(rng.UniformInt(0, n - 2)),
+                          rng.Uniform(0.1, 0.9)});
+      }
+      ASSERT_OK(oracle->ApplyWeightUpdates(deltas, ctx));
+    }
+    std::vector<double> want(pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_OK_AND_ASSIGN(want[i],
+                           oracle->Distance(pairs[i].first, pairs[i].second));
+    }
+    for (bool force_scalar : {false, true}) {
+      ScopedForceScalar force(force_scalar);
+      for (size_t size : {1, 7, 255, 256, 257, 1000}) {
+        std::vector<double> got(size);
+        ASSERT_OK(oracle->DistanceInto(
+            std::span<const VertexPair>(pairs.data(), size), got.data()));
+        for (size_t i = 0; i < size; ++i) {
+          ASSERT_EQ(got[i], want[i])
+              << "family " << family << " epoch " << epoch << " scalar "
+              << force_scalar << " batch " << size << " pair " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, HldKernelConformanceTest,
+                         ::testing::Values(0, 1, 2, 3, 4));
+
+TEST(HldKernelTest, OutOfRangeIdInSecondBlockIsTypedError) {
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(300, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
+  ASSERT_OK_AND_ASSIGN(
+      auto oracle, HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  for (VertexPair bad : {VertexPair{5, 300}, VertexPair{-1, 5},
+                         VertexPair{299, 1 << 30}}) {
+    std::vector<VertexPair> pairs(600, VertexPair{1, 2});
+    pairs[300] = bad;
+    std::vector<double> out(pairs.size());
+    for (bool force_scalar : {false, true}) {
+      ScopedForceScalar force(force_scalar);
+      Status status = oracle->DistanceInto(pairs, out.data());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << bad.first << "," << bad.second << " scalar " << force_scalar;
+    }
+  }
+}
+
+// The "meta" scalars of a saved release, in SaveReleasedState order.
+enum MetaSlot { kRoot, kNoiseScale, kSensitivity, kNoiseDraws, kEpsilon };
+
+// Restores `oracle` from its own saved sections, with meta[slot]
+// overwritten by `value` (slot < 0 leaves the snapshot untouched).
+Result<std::unique_ptr<DistanceOracle>> RestoreWithMeta(
+    const HldTreeOracle& oracle, const Graph& g, const EdgeWeights& w,
+    int slot, double value) {
+  std::vector<ReleasedSection> sections;
+  DPSP_RETURN_IF_ERROR(oracle.SaveReleasedState(&sections));
+  std::vector<ReleasedSectionView> views;
+  for (ReleasedSection& section : sections) {
+    if (section.label == "meta" && slot >= 0) {
+      std::memcpy(section.bytes.data() + slot * sizeof(double), &value,
+                  sizeof(double));
+    }
+    views.push_back({section.label, section.bytes});
+  }
+  return HldTreeOracle::FromReleasedState(g, w, views);
+}
+
+TEST(HldRestoreTest, RejectsMetadataTheTopologyOrCalibrationContradicts) {
+  // Sensitivity and draw count are fixed by the public topology: a
+  // restored sensitivity of 0 would make every later epoch charge
+  // eps * g / 0 = +inf, and a wrong one misprices epochs and telemetry.
+  // The noise scale must be one a release could have used.
+  Rng rng(kTestSeed);
+  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(64, &rng));
+  EdgeWeights w = MakeUniformWeights(g, 0.5, 3.0, &rng);
+  ASSERT_OK_AND_ASSIGN(
+      auto oracle, HldTreeOracle::Build(g, w, PrivacyParams{}, &rng));
+  ASSERT_OK(RestoreWithMeta(*oracle, g, w, -1, 0.0).status());
+  const double sensitivity = oracle->sensitivity();
+  const double draws = oracle->num_noisy_values();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (auto [slot, value] : std::vector<std::pair<int, double>>{
+           {kSensitivity, 0.0},
+           {kSensitivity, sensitivity + 1.0},
+           {kSensitivity, -sensitivity},
+           {kNoiseDraws, 0.0},
+           {kNoiseDraws, draws - 1.0},
+           {kNoiseDraws, draws + 1.0},
+           {kNoiseScale, 0.0},
+           {kNoiseScale, -0.0},
+           {kNoiseScale, -1.0},
+           {kNoiseScale, inf},
+           {kNoiseScale, nan}}) {
+    auto restored = RestoreWithMeta(*oracle, g, w, slot, value);
+    ASSERT_FALSE(restored.ok()) << "slot " << slot << " = " << value;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ReleasedStateTest, AsIntRejectsNonFiniteAndOutOfRangeBeforeCasting) {
+  // Casting NaN or an out-of-range double to int is undefined behaviour,
+  // so the range check must come first.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), 1e300, -1e300,
+                     2147483648.0, -2147483649.0, 0.5, -7.25}) {
+    auto as_int = released_state::AsInt(bad, "value");
+    ASSERT_FALSE(as_int.ok()) << bad;
+    EXPECT_EQ(as_int.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (double good : {0.0, -0.0, 5.0, -5.0, 2147483647.0, -2147483648.0}) {
+    ASSERT_OK_AND_ASSIGN(int as_int, released_state::AsInt(good, "value"));
+    EXPECT_EQ(as_int, static_cast<long long>(good));
+  }
 }
 
 }  // namespace

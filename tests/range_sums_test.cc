@@ -1,6 +1,8 @@
 #include "core/range_sums.h"
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -72,6 +74,52 @@ TEST(RangeSumsTest, NoiseIsPerBlockNotPerQuery) {
   ASSERT_OK_AND_ASSIGN(double a, sums.RangeSum(3, 37));
   ASSERT_OK_AND_ASSIGN(double b, sums.RangeSum(3, 37));
   EXPECT_DOUBLE_EQ(a, b);
+}
+
+// The greedy decomposition as first written: from each block start, probe
+// up from level 0 while the next level is still aligned at lo and still
+// fits in [lo, hi). Kept as the reference the O(1) level computation must
+// reproduce block for block.
+double ProbingRangeSum(const NoisyDyadicRangeSums& sums, int lo, int hi,
+                       int* segments) {
+  const NoisyDyadicRangeSums::FlatView view = sums.Flat();
+  double sum = 0.0;
+  while (lo < hi) {
+    int level = 0;
+    while (level + 1 < view.num_levels && lo % (1 << (level + 1)) == 0 &&
+           lo + (1 << (level + 1)) <= hi) {
+      ++level;
+    }
+    sum += view.blocks[view.level_offset[level] + static_cast<uint32_t>(
+                                                      lo >> level)];
+    ++*segments;
+    lo += 1 << level;
+  }
+  return sum;
+}
+
+TEST(RangeSumsTest, DecompositionMatchesProbingReferenceExhaustively) {
+  // Every range of every size up to 130 (past two powers of two, so the
+  // top-level cap and ragged last blocks both show): the same blocks in
+  // the same order means the same segment count and the same bits.
+  Rng rng(kTestSeed);
+  for (int m = 0; m <= 130; ++m) {
+    std::vector<double> values(static_cast<size_t>(m));
+    for (double& v : values) v = rng.Uniform(-5.0, 5.0);
+    NoisyDyadicRangeSums sums(values, 0.7, &rng);
+    for (int lo = 0; lo <= m; ++lo) {
+      for (int hi = lo; hi <= m; ++hi) {
+        int want_segments = 0;
+        const double want = ProbingRangeSum(sums, lo, hi, &want_segments);
+        int segments = 0;
+        ASSERT_OK_AND_ASSIGN(double got, sums.RangeSum(lo, hi, &segments));
+        ASSERT_EQ(got, want) << "m=" << m << " [" << lo << ", " << hi << ")";
+        ASSERT_EQ(segments, want_segments)
+            << "m=" << m << " [" << lo << ", " << hi << ")";
+        ASSERT_EQ(sums.RangeSumUnchecked(lo, hi), want);
+      }
+    }
+  }
 }
 
 TEST(RangeSumsTest, BlockCountIsLinear) {
