@@ -111,13 +111,16 @@ BENCHMARK(BM_PathOracleQuery);
 
 // The tree-hld batch kernel, single-threaded, on the serving benchmark's
 // two trees: arg 0 is a random tree of 131072 vertices at 16384 pairs per
-// call, arg 1 a 16384 x 7 caterpillar at 4096 pairs per call.
+// call, arg 1 a 16384 x 7 caterpillar at 4096 pairs per call. Arg 2 is a
+// balanced binary tree of 50000 vertices at 16384 pairs per call, the
+// shape whose pairs cross the most chains of equal light depth.
 void BM_HldDistanceInto(benchmark::State& state) {
   Rng rng(kBenchSeed);
-  const bool caterpillar = state.range(0) == 1;
-  Graph g = caterpillar ? OrDie(MakeCaterpillarTree(16384, 7))
-                        : OrDie(MakeRandomTree(131072, &rng));
-  const int batch = caterpillar ? 4096 : 16384;
+  const int shape = static_cast<int>(state.range(0));
+  Graph g = shape == 1   ? OrDie(MakeCaterpillarTree(16384, 7))
+            : shape == 2 ? OrDie(MakeBalancedTree(50000, 2))
+                         : OrDie(MakeRandomTree(131072, &rng));
+  const int batch = shape == 1 ? 4096 : 16384;
   EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
   PrivacyParams params{1.0, 0.0, 1.0};
   auto oracle = OrDie(HldTreeOracle::Build(g, w, params, &rng));
@@ -135,7 +138,7 @@ void BM_HldDistanceInto(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_HldDistanceInto)->Arg(0)->Arg(1);
+BENCHMARK(BM_HldDistanceInto)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_Algorithm3Release(benchmark::State& state) {
   Rng rng(kBenchSeed);

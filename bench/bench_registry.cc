@@ -16,8 +16,9 @@
 //      V=65536): wall clock and charged epsilon at 1% / 5% / 25% dirty
 //      fractions — the continual-release economics in one table.
 //  R5  hardware-limit hot path: forced-scalar vs AVX2 DistanceInto
-//      throughput of the tree kernels (same release, same pairs — the
-//      dispatch is the only variable), at V=16384 and V=131072.
+//      throughput of the tree-recursive kernel (same release, same
+//      pairs — the dispatch is the only variable), at V=16384 and
+//      V=131072.
 //
 // Usage: bench_registry [out.csv] [out.json]
 //   out.csv   the R1 rows as CSV
@@ -523,7 +524,8 @@ void Run(const char* csv_path, const char* json_path) {
   // scalar and AVX2 legs run the identical DistanceBatch on it (results
   // are bit-identical — tests/simd_conformance_test.cc — so the dispatch
   // is the only variable). The dispatch is printed with the table.
-  // Bounded-weight has no row: scalar is its only kernel.
+  // Only tree-recursive has a row: tree-hld and bounded-weight have no
+  // vector query kernel, so both legs would time the same code.
   const size_t simd_queries = 200000;
   std::vector<SimdRun> simd_runs;
   Table simd_table(
@@ -536,29 +538,28 @@ void Run(const char* csv_path, const char* json_path) {
     EdgeWeights simd_w = MakeUniformWeights(simd_g, 0.1, 0.9, &rng);
     std::vector<VertexPair> simd_pairs =
         SamplePairs(simd_v, static_cast<int>(simd_queries), &rng);
-    for (const char* name : {"tree-recursive", "tree-hld"}) {
-      ReleaseContext simd_ctx = OrDie(ReleaseContext::Create(
-          PrivacyParams{1.0, 0.0, 1.0}, rng.NextSeed()));
-      auto oracle = OrDie(
-          OracleRegistry::Global().Create(name, simd_g, simd_w, simd_ctx));
-      SimdRun& run = simd_runs.emplace_back();
-      run.mechanism = name;
-      run.v = simd_v;
-      {
-        ScopedForceScalar force(true);
-        run.scalar = TimeDistanceBatch(*oracle, simd_pairs);
-      }
-      run.simd = TimeDistanceBatch(*oracle, simd_pairs);
-      if (run.scalar.front != run.simd.front) {
-        std::abort();  // dispatch must never change results
-      }
-      simd_table.Row()
-          .Add(name)
-          .Add(simd_v)
-          .Add(run.scalar.ops_per_sec / 1e6, 2)
-          .Add(run.simd.ops_per_sec / 1e6, 2)
-          .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2);
+    const char* name = "tree-recursive";
+    ReleaseContext simd_ctx = OrDie(ReleaseContext::Create(
+        PrivacyParams{1.0, 0.0, 1.0}, rng.NextSeed()));
+    auto oracle = OrDie(
+        OracleRegistry::Global().Create(name, simd_g, simd_w, simd_ctx));
+    SimdRun& run = simd_runs.emplace_back();
+    run.mechanism = name;
+    run.v = simd_v;
+    {
+      ScopedForceScalar force(true);
+      run.scalar = TimeDistanceBatch(*oracle, simd_pairs);
     }
+    run.simd = TimeDistanceBatch(*oracle, simd_pairs);
+    if (run.scalar.front != run.simd.front) {
+      std::abort();  // dispatch must never change results
+    }
+    simd_table.Row()
+        .Add(name)
+        .Add(simd_v)
+        .Add(run.scalar.ops_per_sec / 1e6, 2)
+        .Add(run.simd.ops_per_sec / 1e6, 2)
+        .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2);
   }
   simd_table.Print();
 

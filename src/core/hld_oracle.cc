@@ -5,11 +5,10 @@
 #include <map>
 #include <utility>
 
-#include "common/cpu.h"
 #include "common/table.h"
 #include "core/released_state.h"
-#include "core/simd_kernels.h"
 #include "dp/laplace_mechanism.h"
+#include "graph/tree.h"
 
 namespace dpsp {
 
@@ -23,6 +22,7 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
 
   auto oracle = std::unique_ptr<HldTreeOracle>(new HldTreeOracle());
   int n = tree.num_vertices();
+  oracle->num_vertices_ = n;
   oracle->chain_of_.assign(static_cast<size_t>(n), -1);
   oracle->pos_in_chain_.assign(static_cast<size_t>(n), 0);
 
@@ -102,14 +102,11 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
     }
   }
 
-  oracle->tree_ = std::make_unique<RootedTree>(std::move(tree));
-  oracle->lca_ = std::make_unique<EulerTourLca>(*oracle->tree_);
-
   // Update-path indexes: dirty edge -> child endpoint, and flat chain
   // membership (for recomputing ascent caches of dirty chains).
   oracle->edge_child_.assign(static_cast<size_t>(graph.num_edges()), -1);
   for (VertexId v = 0; v < n; ++v) {
-    EdgeId e = oracle->tree_->parent_edge(v);
+    EdgeId e = tree.parent_edge(v);
     if (e != -1) oracle->edge_child_[static_cast<size_t>(e)] = v;
   }
   oracle->chain_member_offset_.assign(members.size() + 1, 0);
@@ -126,10 +123,20 @@ Result<std::unique_ptr<HldTreeOracle>> HldTreeOracle::Build(
 
   // Ascent caches (post-processing of the released blocks, no new noise):
   // climbing off the top of v's chain costs the chain prefix up to v plus
-  // the light edge above the head, and lands on the head's parent.
+  // the light edge above the head, and lands on the head's parent — on a
+  // chain one light depth up. Chains are numbered parents first, so the
+  // parent chain's depth is known when its child chain is reached.
   oracle->head_parent_.resize(members.size());
+  oracle->chain_light_depth_.assign(members.size(), 0);
   for (size_t c = 0; c < members.size(); ++c) {
-    oracle->head_parent_[c] = oracle->tree_->parent(oracle->chain_head_[c]);
+    const VertexId parent = tree.parent(oracle->chain_head_[c]);
+    oracle->head_parent_[c] = parent;
+    if (parent != -1) {
+      oracle->chain_light_depth_[c] =
+          oracle->chain_light_depth_[static_cast<size_t>(
+              oracle->chain_of_[static_cast<size_t>(parent)])] +
+          1;
+    }
   }
   oracle->ascent_cost_.assign(static_cast<size_t>(n), 0.0);
   for (size_t c = 0; c < members.size(); ++c) {
@@ -154,7 +161,7 @@ Status HldTreeOracle::ApplyWeightUpdates(
     std::span<const EdgeWeightDelta> deltas, ReleaseContext& ctx) {
   update_stats_ = UpdateStats{};
   if (deltas.empty()) return Status::Ok();
-  const int num_edges = tree_->num_vertices() - 1;
+  const int num_edges = num_vertices_ - 1;
 
   // Final weight per dirty edge (last delta wins), then grouped by chain
   // in ascending (chain, position) order so the redraw walk — and with it
@@ -271,107 +278,86 @@ constexpr int kBlockEnds = 2 * kBlockPairs;
 
 Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
                                    double* out) const {
-  // Blocked, level-synchronous kernel. Per block: every LCA, then rounds
-  // of one chain crossing per still-climbing endpoint, then rounds of one
-  // dyadic block per endpoint with range left. Each round's loads are
-  // independent across endpoints, so their cache misses overlap, and the
-  // per-endpoint "done" test only compacts the worklist instead of ending
-  // a loop the branch predictor cannot guess. Every endpoint adds the same
-  // values in the same order as DistanceToAncestor, so the answers are
-  // bit-identical to Distance().
-  static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                "kernels reinterpret VertexPair as two packed int32s");
-  const unsigned n = static_cast<unsigned>(tree_->num_vertices());
-  const EulerTourLca& lca = *lca_;
-#if defined(DPSP_HAVE_AVX2)
-  const bool simd_lca = SimdKernelsEnabled() && lca.SimdCompatible();
-#endif
+  // Blocked, level-synchronous kernel. Per block: climb rounds, each
+  // picking every endpoint MustClimb selects and then crossing them all,
+  // then rounds of one dyadic block per endpoint with range left. Each
+  // round's loads are independent across endpoints, so their cache misses
+  // overlap, and the "done" tests only compact the worklists instead of
+  // ending a loop the branch predictor cannot guess. Every endpoint adds
+  // the same values in the same order as Distance(), so the answers are
+  // bit-identical to it.
+  const unsigned n = static_cast<unsigned>(num_vertices_);
   // Endpoint 2j is pair j's u, 2j + 1 its v.
-  int32_t z[kBlockPairs];
-  VertexId at[kBlockEnds];  // the climbing vertex; ends on the LCA's chain
-  int chain[kBlockEnds];    // the chain `at` is on
-  int target[kBlockEnds];   // the LCA's chain
-  double climb[kBlockEnds];
-  const NoisyDyadicRangeSums* sums[kBlockEnds];  // the LCA chain's blocks
+  Climber ends[kBlockEnds];
+  const NoisyDyadicRangeSums* sums[kBlockPairs];  // the LCA chain's blocks
   double range[kBlockEnds];
   int lo[kBlockEnds];
   int hi[kBlockEnds];
-  uint16_t work[kBlockEnds];  // live endpoints, compacted every round
+  uint16_t work[kBlockEnds];   // live pairs or endpoints, compacted per round
+  uint16_t cross[kBlockEnds];  // the endpoints crossing this round
 
   for (size_t done = 0; done < pairs.size(); done += kBlockPairs) {
     const VertexPair* block = pairs.data() + done;
     const int count =
         static_cast<int>(std::min<size_t>(kBlockPairs, pairs.size() - done));
-    const int ends = 2 * count;
 
-    // LCA phase, with the bounds check.
-    bool have_lca = false;
-#if defined(DPSP_HAVE_AVX2)
-    if (simd_lca) {
-      if (simd::LcaBatchAvx2(lca.Flat(),
-                             reinterpret_cast<const int32_t*>(block), count,
-                             z) >= 0) {
+    // Climb phase, after the bounds check. A pair stays live while its
+    // endpoints are on different chains.
+    int live = 0;
+    for (int j = 0; j < count; ++j) {
+      const auto& [u, v] = block[j];
+      if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
         return Status::InvalidArgument("vertex out of range");
       }
-      have_lca = true;
-    }
-#endif
-    if (!have_lca) {
-      for (int j = 0; j < count; ++j) {
-        const auto& [u, v] = block[j];
-        if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {
-          return Status::InvalidArgument("vertex out of range");
-        }
-        z[j] = lca.LcaUnchecked(u, v);
-      }
-    }
-
-    // Climb phase: each round, every endpoint still off its LCA's chain
-    // pays its cached ascent cost and lands on the head's parent.
-    for (int j = 0; j < count; ++j) {
-      at[2 * j] = block[j].first;
-      at[2 * j + 1] = block[j].second;
-      target[2 * j] = target[2 * j + 1] =
-          chain_of_[static_cast<size_t>(z[j])];
-    }
-    int live = 0;
-    for (int e = 0; e < ends; ++e) {
-      chain[e] = chain_of_[static_cast<size_t>(at[e])];
-      climb[e] = 0.0;
-      work[live] = static_cast<uint16_t>(e);
-      live += chain[e] != target[e];
+      ends[2 * j] = StartAt(u);
+      ends[2 * j + 1] = StartAt(v);
+      work[live] = static_cast<uint16_t>(j);
+      live += ends[2 * j].chain != ends[2 * j + 1].chain;
     }
     while (live > 0) {
+      int crossing = 0;
       int next_live = 0;
       for (int k = 0; k < live; ++k) {
-        const int e = work[k];
-        const VertexId parent = head_parent_[static_cast<size_t>(chain[e])];
-        DPSP_CHECK_MSG(parent != -1, "climbed past the root during HLD ascent");
-        climb[e] += ascent_cost_[static_cast<size_t>(at[e])];
-        at[e] = parent;
-        chain[e] = chain_of_[static_cast<size_t>(parent)];
-        work[next_live] = static_cast<uint16_t>(e);
-        next_live += chain[e] != target[e];
+        const int j = work[k];
+        const Climber& a = ends[2 * j];
+        const Climber& b = ends[2 * j + 1];
+        cross[crossing] = static_cast<uint16_t>(2 * j);
+        crossing += MustClimb(a, b);
+        cross[crossing] = static_cast<uint16_t>(2 * j + 1);
+        crossing += MustClimb(b, a);
+      }
+      for (int k = 0; k < crossing; ++k) CrossLightEdge(ends[cross[k]]);
+      for (int k = 0; k < live; ++k) {
+        const int j = work[k];
+        work[next_live] = static_cast<uint16_t>(j);
+        next_live += ends[2 * j].chain != ends[2 * j + 1].chain;
       }
       live = next_live;
     }
 
-    // Range phase: each round, every endpoint with range left takes one
-    // dyadic block of [pos(lca), pos(at)) on the LCA's chain.
+    // Range phase: both endpoints are on the LCA's chain, the LCA at the
+    // shallower position. Each round, every endpoint with range left takes
+    // one dyadic block of [pos(lca), pos(at)).
     live = 0;
-    for (int e = 0; e < ends; ++e) {
-      sums[e] = &chains_[static_cast<size_t>(target[e])];
-      lo[e] = pos_in_chain_[static_cast<size_t>(z[e / 2])];
-      hi[e] = pos_in_chain_[static_cast<size_t>(at[e])];
-      range[e] = 0.0;
-      work[live] = static_cast<uint16_t>(e);
-      live += lo[e] < hi[e];
+    for (int j = 0; j < count; ++j) {
+      sums[j] = &chains_[static_cast<size_t>(ends[2 * j].chain)];
+      const int pos_u = pos_in_chain_[static_cast<size_t>(ends[2 * j].at)];
+      const int pos_v =
+          pos_in_chain_[static_cast<size_t>(ends[2 * j + 1].at)];
+      const int lca = std::min(pos_u, pos_v);
+      lo[2 * j] = lo[2 * j + 1] = lca;
+      hi[2 * j] = pos_u;
+      hi[2 * j + 1] = pos_v;
+      range[2 * j] = range[2 * j + 1] = 0.0;
+      // At most one endpoint of a pair has range left.
+      work[live] = static_cast<uint16_t>(2 * j + (pos_u == lca));
+      live += pos_u != pos_v;
     }
     while (live > 0) {
       int next_live = 0;
       for (int k = 0; k < live; ++k) {
         const int e = work[k];
-        range[e] += sums[e]->TakeBlock(&lo[e], hi[e]);
+        range[e] += sums[e / 2]->TakeBlock(&lo[e], hi[e]);
         work[next_live] = static_cast<uint16_t>(e);
         next_live += lo[e] < hi[e];
       }
@@ -380,28 +366,11 @@ Status HldTreeOracle::DistanceInto(std::span<const VertexPair> pairs,
 
     for (int j = 0; j < count; ++j) {
       out[done + static_cast<size_t>(j)] =
-          (climb[2 * j] + range[2 * j]) + (climb[2 * j + 1] + range[2 * j + 1]);
+          (ends[2 * j].climb + range[2 * j]) +
+          (ends[2 * j + 1].climb + range[2 * j + 1]);
     }
   }
   return Status::Ok();
-}
-
-double HldTreeOracle::DistanceToAncestor(VertexId v, VertexId z) const {
-  // Each crossing adds the cached ascent cost (chain prefix + light edge)
-  // and lands on the head's parent; the last chain is a range sum.
-  double sum = 0.0;
-  const int chain_z = chain_of_[static_cast<size_t>(z)];
-  while (chain_of_[static_cast<size_t>(v)] != chain_z) {
-    int c = chain_of_[static_cast<size_t>(v)];
-    VertexId next = head_parent_[static_cast<size_t>(c)];
-    DPSP_CHECK_MSG(next != -1, "climbed past the root during HLD ascent");
-    sum += ascent_cost_[static_cast<size_t>(v)];
-    v = next;
-  }
-  return sum +
-         chains_[static_cast<size_t>(chain_z)]
-             .RangeSumUnchecked(pos_in_chain_[static_cast<size_t>(z)],
-                                pos_in_chain_[static_cast<size_t>(v)]);
 }
 
 Status HldTreeOracle::SaveReleasedState(
@@ -409,7 +378,7 @@ Status HldTreeOracle::SaveReleasedState(
   // Every noisy value of the release: the per-chain dyadic blocks
   // (concatenated in chain order, with per-chain counts so restore can
   // slice them back), and the light-edge scalars. Everything else —
-  // chains, LCA, membership, ascent caches — is deterministic
+  // chains, light depths, membership, ascent caches — is deterministic
   // post-processing of the public topology and the blocks.
   std::vector<double> blocks;
   std::vector<double> counts;
@@ -463,9 +432,9 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
         "snapshot hld noise scale must be finite and > 0");
   }
 
-  // Rebuild the deterministic skeleton (chains, LCA, membership) with a
-  // throwaway noise stream, then overwrite every noisy value with the
-  // persisted image. The decomposition depends only on the public
+  // Rebuild the deterministic skeleton (chains, light depths, membership)
+  // with a throwaway noise stream, then overwrite every noisy value with
+  // the persisted image. The decomposition depends only on the public
   // topology, never on the noise, so this is exact.
   Rng scratch_rng(0);
   PrivacyParams scratch_params;
@@ -537,12 +506,24 @@ Result<std::unique_ptr<DistanceOracle>> HldTreeOracle::FromReleasedState(
 }
 
 Result<double> HldTreeOracle::Distance(VertexId u, VertexId v) const {
-  if (u < 0 || u >= tree_->num_vertices() || v < 0 ||
-      v >= tree_->num_vertices()) {
+  if (u < 0 || u >= num_vertices_ || v < 0 || v >= num_vertices_) {
     return Status::InvalidArgument("vertex out of range");
   }
-  VertexId z = lca_->Lca(u, v);
-  return DistanceToAncestor(u, z) + DistanceToAncestor(v, z);
+  Climber a = StartAt(u);
+  Climber b = StartAt(v);
+  while (a.chain != b.chain) {
+    const bool a_climbs = MustClimb(a, b);
+    const bool b_climbs = MustClimb(b, a);
+    if (a_climbs) CrossLightEdge(a);
+    if (b_climbs) CrossLightEdge(b);
+  }
+  // Both are on the LCA's chain, the LCA at the shallower position.
+  const NoisyDyadicRangeSums& sums = chains_[static_cast<size_t>(a.chain)];
+  const int pos_a = pos_in_chain_[static_cast<size_t>(a.at)];
+  const int pos_b = pos_in_chain_[static_cast<size_t>(b.at)];
+  const int lca = std::min(pos_a, pos_b);
+  return (a.climb + sums.RangeSumUnchecked(lca, pos_a)) +
+         (b.climb + sums.RangeSumUnchecked(lca, pos_b));
 }
 
 double HldTreeOracle::ErrorBound(int num_vertices,

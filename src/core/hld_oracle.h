@@ -31,7 +31,6 @@
 #include "core/range_sums.h"
 #include "dp/privacy.h"
 #include "dp/release_context.h"
-#include "graph/tree.h"
 
 // Incremental release (continual weight updates): every edge lives in one
 // heavy-chain dyadic structure (one block per level of that chain) or in
@@ -68,11 +67,11 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
       Rng* rng, VertexId root = -1);
 
   Result<double> Distance(VertexId u, VertexId v) const override;
-  /// Blocked serial kernel, 256 pairs at a time: the block's LCAs first
-  /// (AVX2 gathers when dispatch allows), then level-synchronous rounds
-  /// over its 512 endpoints — one chain crossing per climbing endpoint per
-  /// round, then one dyadic block per endpoint with range left — so cache
-  /// misses overlap across pairs. Bit-identical to Distance().
+  /// Blocked serial kernel, 256 pairs at a time, in level-synchronous
+  /// rounds: one light-edge crossing per climbing endpoint per round until
+  /// each pair's endpoints share a chain (the LCA's), then one dyadic block
+  /// per endpoint with range left — so cache misses overlap across pairs.
+  /// Bit-identical to Distance().
   Status DistanceInto(std::span<const VertexPair> pairs,
                       double* out) const override;
   std::string Name() const override { return kName; }
@@ -100,9 +99,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
 
   /// Persists the released noisy state: every chain's dyadic blocks
   /// (concatenated, with per-chain counts), the light-edge scalars, and
-  /// the release calibration. The decomposition itself (chains, LCA,
-  /// membership) is deterministic post-processing of the public topology
-  /// and is rebuilt at restore.
+  /// the release calibration. The decomposition itself (chains, light
+  /// depths, membership) is deterministic post-processing of the public
+  /// topology and is rebuilt at restore.
   Status SaveReleasedState(std::vector<ReleasedSection>* out) const override;
 
   /// OracleLoader counterpart: rebuilds the deterministic skeleton from
@@ -120,16 +119,44 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
  private:
   HldTreeOracle() = default;
 
-  // Noisy distance from `v` up to its ancestor `z` (sum of chain ranges).
-  // Both must be valid vertices with z an ancestor of v.
-  double DistanceToAncestor(VertexId v, VertexId z) const;
+  // One endpoint of a query climbing towards its partner's chain.
+  struct Climber {
+    VertexId at;   // the current vertex
+    int chain;     // at's chain
+    int depth;     // that chain's light depth
+    double climb;  // noisy cost of the crossings so far
+  };
+
+  Climber StartAt(VertexId v) const {
+    const int c = chain_of_[static_cast<size_t>(v)];
+    return {v, c, chain_light_depth_[static_cast<size_t>(c)], 0.0};
+  }
+
+  // Crosses the light edge above e's chain head: adds the cached ascent
+  // cost and lands on the head's parent, one light depth up.
+  void CrossLightEdge(Climber& e) const {
+    const VertexId parent = head_parent_[static_cast<size_t>(e.chain)];
+    DPSP_CHECK_MSG(parent != -1, "climbed past the root during HLD ascent");
+    e.climb += ascent_cost_[static_cast<size_t>(e.at)];
+    e.at = parent;
+    e.chain = chain_of_[static_cast<size_t>(parent)];
+    --e.depth;
+  }
+
+  // The textbook HLD LCA rule, for two endpoints on different chains: the
+  // LCA's chain is no deeper than either endpoint's chain and is an
+  // ancestor of both, so an endpoint whose chain is at least as light-deep
+  // as its partner's is below the LCA's chain and crosses. Both cross when
+  // the depths tie.
+  static bool MustClimb(const Climber& e, const Climber& partner) {
+    return e.depth >= partner.depth;
+  }
 
   // Rebuilds the ascent caches of chain `c` from its (possibly redrawn)
   // released blocks.
   void RecomputeAscentCosts(int c);
 
-  std::unique_ptr<RootedTree> tree_;
-  std::unique_ptr<EulerTourLca> lca_;
+  int num_vertices_ = 0;
   double noise_scale_ = 0.0;
   int sensitivity_ = 0;
   int num_noisy_values_ = 0;
@@ -141,6 +168,9 @@ class HldTreeOracle final : public UpdatableDistanceOracle {
   AlignedVector<int> chain_of_;      // vertex -> chain index
   AlignedVector<int> pos_in_chain_;  // vertex -> position along its chain
   std::vector<VertexId> chain_head_;  // chain -> shallowest vertex
+  // chain -> light edges between its head and the root (0 at the root
+  // chain). A chain's parent chain is exactly one shallower.
+  AlignedVector<int> chain_light_depth_;
   // edge id -> the child endpoint whose parent edge it is; the update
   // path's dirty-edge -> (chain, position) map.
   std::vector<VertexId> edge_child_;

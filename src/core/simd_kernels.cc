@@ -94,44 +94,6 @@ inline int32_t ScalarLca(const EulerTourLca::FlatView& lca, int u, int v) {
 
 }  // namespace
 
-int LcaBatchAvx2(const EulerTourLca::FlatView& lca, const int32_t* pairs,
-                 int count, int32_t* out_lca) {
-  int n = lca.num_vertices;
-  int i = 0;
-  // 8 pairs per iteration as two independent lane groups: the sparse
-  // table misses to DRAM on large trees, so the win is memory-level
-  // parallelism — both groups' gathers are in flight together.
-  for (; i + 8 <= count; i += 8) {
-    __m128i u0, v0, u1, v1;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u0, &v0);
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i) + 8, &u1, &v1);
-    if (FirstInvalidLane(u0, v0, n) < 4 || FirstInvalidLane(u1, v1, n) < 4) {
-      break;  // finish in the 4-wide loop / scalar tail below
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i),
-                     LcaLookup4(lca, u0, v0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i + 4),
-                     LcaLookup4(lca, u1, v1));
-  }
-  for (; i + 4 <= count; i += 4) {
-    __m128i u, v;
-    LoadPairs4(pairs + 2 * static_cast<size_t>(i), &u, &v);
-    if (FirstInvalidLane(u, v, n) < 4) break;  // finish scalar below
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_lca + i),
-                     LcaLookup4(lca, u, v));
-  }
-  for (; i < count; ++i) {
-    int u = pairs[2 * static_cast<size_t>(i)];
-    int v = pairs[2 * static_cast<size_t>(i) + 1];
-    if (static_cast<unsigned>(u) >= static_cast<unsigned>(n) ||
-        static_cast<unsigned>(v) >= static_cast<unsigned>(n)) {
-      return i;
-    }
-    out_lca[i] = ScalarLca(lca, u, v);
-  }
-  return -1;
-}
-
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out) {
   int n = lca.num_vertices;

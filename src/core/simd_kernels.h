@@ -1,8 +1,10 @@
-// AVX2 batch kernels for the fused DistanceInto hot paths.
+// AVX2 batch kernels: the fused tree-recursive DistanceInto combine and
+// the batched dyadic prefix sums the tree-hld ascent caches are built
+// from.
 //
 // Each kernel is the vector twin of one scalar batch loop, operating on
-// the flat released buffers (EulerTourLca::FlatView and the dyadic block
-// array) through gathers. The kernels are bit-identical to their scalar
+// flat buffers (EulerTourLca::FlatView and the dyadic block array)
+// through gathers. The kernels are bit-identical to their scalar
 // twins by construction: integer index math is exact, and every
 // floating-point combine uses the same IEEE operation order as the scalar
 // loop (enforced repo-wide with -ffp-contract=off).
@@ -29,17 +31,12 @@ namespace simd {
 
 #if defined(DPSP_HAVE_AVX2)
 
-/// Batched LCA: out_lca[i] = LCA of pairs[2i], pairs[2i+1] (pairs is the
-/// flattened (u, v) int array, 2 ints per query). Validates ids like the
-/// scalar loop: on the first out-of-range pair, results for every earlier
-/// pair are written and its index is returned; -1 means all `count` pairs
-/// were valid and written.
-int LcaBatchAvx2(const EulerTourLca::FlatView& lca, const int32_t* pairs,
-                 int count, int32_t* out_lca);
-
 /// Fused tree-distance kernel: out[i] = est[u] + est[v] - 2 * est[lca],
-/// the TreeAllPairsOracle combine, with the LCA lookup inlined. Same
-/// validation contract as LcaBatchAvx2.
+/// the TreeAllPairsOracle combine, with the LCA lookup inlined (pairs is
+/// the flattened (u, v) int array, 2 ints per query). Validates ids like
+/// the scalar loop: on the first out-of-range pair, results for every
+/// earlier pair are written and its index is returned; -1 means all
+/// `count` pairs were valid and written.
 int TreeCombineAvx2(const EulerTourLca::FlatView& lca, const double* est,
                     const int32_t* pairs, int count, double* out);
 

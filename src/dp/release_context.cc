@@ -155,47 +155,6 @@ Status ReleaseContext::CommitRelease(ReleaseTelemetry t, uint64_t intent_lsn) {
   return Status::Ok();
 }
 
-ReleaseContext ReleaseContext::Fork() {
-  return ReleaseContext(params_, rng_->NextSeed(), accountant_->policy());
-}
-
-Status ReleaseContext::AbsorbShard(const ReleaseContext& shard) {
-  // All-or-nothing: replay the shard's ledger — each entry in its
-  // original PrivacyLoss currency — onto a scratch accountant first so a
-  // budget failure leaves this context unchanged.
-  std::unique_ptr<Accountant> prospective = accountant_->Clone();
-  for (const AccountantEntry& e : shard.accountant().entries()) {
-    DPSP_RETURN_IF_ERROR(prospective->Record(e.label, e.loss));
-  }
-  if (has_total_budget_ &&
-      !prospective->WithinBudget(total_budget_, delta_slack_)) {
-    PrivacyParams total = prospective->Total(delta_slack_);
-    return Status::FailedPrecondition(StrFormat(
-        "privacy budget exhausted: absorbing a shard of %d releases "
-        "would bring the %s-composed total to eps=%g delta=%g, over the "
-        "budget eps=%g delta=%g",
-        shard.accountant().num_releases(),
-        AccountingPolicyName(accountant_->policy()), total.epsilon,
-        total.delta, total_budget_.epsilon, total_budget_.delta));
-  }
-  // Absorbed shard ledgers hit the WAL here, once, from the parent: each
-  // entry gets its intent/commit pair before the in-memory install (the
-  // usual WAL ordering). A logging failure aborts the absorb with this
-  // ledger unchanged; whatever records made it down replay as spent,
-  // which is the conservative direction.
-  if (durability_hook_ != nullptr) {
-    for (const AccountantEntry& e : shard.accountant().entries()) {
-      DPSP_ASSIGN_OR_RETURN(uint64_t lsn,
-                            durability_hook_->LogIntent(e.label, e.loss));
-      DPSP_RETURN_IF_ERROR(durability_hook_->LogCommit(lsn));
-    }
-  }
-  accountant_ = std::move(prospective);
-  telemetry_.insert(telemetry_.end(), shard.telemetry_.begin(),
-                    shard.telemetry_.end());
-  return Status::Ok();
-}
-
 void ReleaseContext::RecordTelemetry(ReleaseTelemetry t) {
   telemetry_.push_back(std::move(t));
 }

@@ -96,9 +96,7 @@ class ReleaseContext {
   };
 
   /// Installs (or, with nullptr, removes) the durability hook. Non-owning;
-  /// the hook must outlive every charge. Fork() children do NOT inherit
-  /// the hook — shard ledgers are logged once, at AbsorbShard time, by
-  /// the parent.
+  /// the hook must outlive every charge.
   void SetDurabilityHook(DurabilityHook* hook) { durability_hook_ = hook; }
   DurabilityHook* durability_hook() const { return durability_hook_; }
 
@@ -232,22 +230,6 @@ class ReleaseContext {
     t.wall_ms = timer.Ms();
     return CommitRelease(std::move(t), intent_lsn);
   }
-
-  /// A shard-local child context for sharded build/serve pipelines: the
-  /// same validated params and accounting policy, a fresh Rng seeded from
-  /// this context's stream, an empty ledger, and no total budget (the
-  /// parent's ceiling is enforced when the shard is absorbed). Build
-  /// per-shard releases through the child, then compose the spend back
-  /// with AbsorbShard.
-  ReleaseContext Fork();
-
-  /// Composes a shard's ledger into this one atomically: every PrivacyLoss
-  /// recorded by `shard` is re-charged here — in its original currency —
-  /// under the parent's total budget; all of them, or (when the composed
-  /// total would exceed the budget) none, with FailedPrecondition — and
-  /// the shard's telemetry is appended. The resulting ledger is identical
-  /// to having built the shard's releases through this context directly.
-  Status AbsorbShard(const ReleaseContext& shard);
 
   /// Appends one telemetry record without charging (used by the exact,
   /// non-private oracle).

@@ -1,7 +1,6 @@
 // Tests for the sharded batch execution engine: contiguous sharding must
 // produce results bit-identical to the serial DistanceInto reference path
-// across all registered mechanisms, and a sharded build pipeline's
-// Fork/AbsorbShard ledger must equal the unsharded one.
+// across all registered mechanisms.
 
 #include "serve/batch_executor.h"
 
@@ -10,11 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/bounded_weight.h"
-#include "core/hld_oracle.h"
 #include "core/oracle_registry.h"
-#include "core/tree_distance.h"
 #include "dp/release_context.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -55,30 +53,32 @@ TEST_P(ExecutorConformanceTest, ShardedBitIdenticalToSerial) {
   ASSERT_OK_AND_ASSIGN(
       auto oracle, OracleRegistry::Global().Create(name, g, w, ctx));
 
+  // Three chunks of at least 2048 pairs each, so the fan-out is real.
   std::vector<VertexPair> pairs =
-      SampleTestPairs(kNumVertices, 3000, &rng);
+      SampleTestPairs(kNumVertices, 3 * 2048 + 100, &rng);
   // Serial reference: one DistanceInto over the whole span.
   ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
                        DistanceBatchOf(*oracle, pairs, /*max_threads=*/1));
 
-  // Contiguous shards, forced fan-out.
-  BatchExecutorOptions options;
-  options.num_shards = 7;
-  options.max_threads = 4;
-  options.min_shard_pairs = 1;
-  BatchExecutor contiguous(options);
-  EXPECT_GT(contiguous.PlannedShardCount(pairs.size()), 1);
+  // Contiguous shards, forced fan-out, and the executor's own split.
+  ASSERT_EQ(ParallelWorkerCount(pairs.size(), /*max_threads=*/4), 3);
   ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
-                       contiguous.Execute(*oracle, pairs));
+                       DistanceBatchOf(*oracle, pairs, /*max_threads=*/4));
+  BatchExecutor executor;
+  ASSERT_OK_AND_ASSIGN(std::vector<double> executed,
+                       executor.Execute(*oracle, pairs));
   ASSERT_EQ(sharded.size(), serial.size());
+  ASSERT_EQ(executed.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(sharded[i], serial[i]) << name << " at pair " << i;
+    EXPECT_EQ(executed[i], serial[i]) << name << " at pair " << i;
   }
 
   // Errors propagate from shard kernels.
   std::vector<VertexPair> bad = pairs;
   bad[bad.size() / 2] = {0, kNumVertices + 5};
-  EXPECT_FALSE(contiguous.Execute(*oracle, bad).ok());
+  EXPECT_FALSE(DistanceBatchOf(*oracle, bad, /*max_threads=*/4).ok());
+  EXPECT_FALSE(executor.Execute(*oracle, bad).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -131,7 +131,7 @@ TEST(BatchExecutorTest, EmptyBatchAndTinyBatchCollapse) {
   ASSERT_OK_AND_ASSIGN(auto oracle,
                        OracleRegistry::Global().Create("exact", g, w, ctx));
 
-  BatchExecutor executor;  // default options: min_shard_pairs = 2048
+  BatchExecutor executor;  // at least 2048 pairs per shard
   ASSERT_OK_AND_ASSIGN(std::vector<double> empty,
                        executor.Execute(*oracle, {}));
   EXPECT_TRUE(empty.empty());
@@ -143,62 +143,6 @@ TEST(BatchExecutorTest, EmptyBatchAndTinyBatchCollapse) {
                        executor.Execute(*oracle, pairs));
   ASSERT_OK_AND_ASSIGN(double d07, oracle->Distance(0, 7));
   EXPECT_EQ(out[0], d07);
-}
-
-TEST(BatchExecutorTest, ForkAbsorbLedgerEqualsUnsharded) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(kNumVertices));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-
-  // Unsharded reference: two releases through one context.
-  ASSERT_OK_AND_ASSIGN(ReleaseContext unsharded,
-                       ReleaseContext::Create(params, kTestSeed));
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, unsharded).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, unsharded).status());
-
-  // Sharded: each release built through a forked child, then absorbed.
-  ASSERT_OK_AND_ASSIGN(ReleaseContext parent,
-                       ReleaseContext::Create(params, kTestSeed));
-  ReleaseContext shard_a = parent.Fork();
-  ReleaseContext shard_b = parent.Fork();
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, shard_a).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, shard_b).status());
-  ASSERT_OK(parent.AbsorbShard(shard_a));
-  ASSERT_OK(parent.AbsorbShard(shard_b));
-
-  EXPECT_EQ(parent.accountant().num_releases(),
-            unsharded.accountant().num_releases());
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon,
-                   unsharded.accountant().BasicTotal().epsilon);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().delta,
-                   unsharded.accountant().BasicTotal().delta);
-  ASSERT_EQ(parent.telemetry().size(), unsharded.telemetry().size());
-  for (size_t i = 0; i < parent.telemetry().size(); ++i) {
-    EXPECT_EQ(parent.telemetry()[i].mechanism,
-              unsharded.telemetry()[i].mechanism);
-  }
-}
-
-TEST(BatchExecutorTest, AbsorbShardRespectsTotalBudgetAtomically) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakePathGraph(kNumVertices));
-  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
-  PrivacyParams params{1.0, 0.0, 1.0};
-
-  ASSERT_OK_AND_ASSIGN(ReleaseContext parent,
-                       ReleaseContext::Create(params, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{1.5, 0.0, 1.0});
-
-  // A shard carrying two eps=1 releases cannot fit the eps=1.5 ceiling.
-  ReleaseContext shard = parent.Fork();
-  ASSERT_OK(TreeAllPairsOracle::Build(g, w, shard).status());
-  ASSERT_OK(HldTreeOracle::Build(g, w, shard).status());
-  Status status = parent.AbsorbShard(shard);
-  EXPECT_FALSE(status.ok());
-  // All-or-nothing: the failed absorb left the parent ledger untouched.
-  EXPECT_EQ(parent.accountant().num_releases(), 0);
-  EXPECT_TRUE(parent.telemetry().empty());
 }
 
 TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
@@ -229,13 +173,8 @@ TEST(BatchExecutorTest, DegenerateBatchesAreWellDefinedOnEveryPath) {
                        DistanceBatchOf(*oracle, single, /*max_threads=*/8));
   EXPECT_EQ(forced_parallel[0], reference);
 
-  // Executor with aggressive fan-out settings: degenerate batches still
-  // collapse to the inline path.
-  BatchExecutorOptions options;
-  options.num_shards = 8;
-  options.max_threads = 8;
-  options.min_shard_pairs = 1;
-  BatchExecutor contiguous(options);
+  // The executor: degenerate batches collapse to the inline path.
+  BatchExecutor contiguous;
   EXPECT_EQ(contiguous.PlannedShardCount(0), 1);
   ASSERT_OK_AND_ASSIGN(std::vector<double> exec_empty,
                        contiguous.Execute(*oracle, {}));

@@ -15,6 +15,7 @@
 #include "core/released_state.h"
 #include "core/tree_distance.h"
 #include "graph/generators.h"
+#include "graph/tree.h"
 #include "test_util.h"
 
 namespace dpsp {
@@ -206,6 +207,85 @@ TEST_P(HldKernelConformanceTest, DistanceIntoMatchesPerPairDistance) {
   pairs[5] = {0, n - 1};
   pairs[300] = {n - 1, 0};
 
+  // Pairs that steer the chain climb. The oracle roots the tree at vertex
+  // 0 and makes a vertex's first largest child its heavy child; a chain's
+  // light depth is the number of light edges above its head.
+  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
+  std::vector<VertexId> heavy(static_cast<size_t>(n), -1);
+  std::vector<VertexId> head(static_cast<size_t>(n));
+  std::vector<int> light_depth(static_cast<size_t>(n), 0);
+  for (VertexId v : tree.bfs_order()) {
+    int best = 0;
+    for (VertexId c : tree.children(v)) {
+      if (tree.subtree_size(c) > best) {
+        best = tree.subtree_size(c);
+        heavy[static_cast<size_t>(v)] = c;
+      }
+    }
+    const VertexId p = tree.parent(v);
+    if (p == -1) {
+      head[static_cast<size_t>(v)] = v;
+    } else if (heavy[static_cast<size_t>(p)] == v) {
+      head[static_cast<size_t>(v)] = head[static_cast<size_t>(p)];
+      light_depth[static_cast<size_t>(v)] =
+          light_depth[static_cast<size_t>(p)];
+    } else {
+      head[static_cast<size_t>(v)] = v;
+      light_depth[static_cast<size_t>(v)] =
+          light_depth[static_cast<size_t>(p)] + 1;
+    }
+  }
+  auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.UniformInt(0, n - 1));
+  };
+  auto random_descendant = [&](VertexId v) {
+    while (!tree.children(v).empty() && rng.Uniform() < 0.8) {
+      std::span<const VertexId> children = tree.children(v);
+      v = children[static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(children.size()) - 1))];
+    }
+    return v;
+  };
+  for (int i = 0; i < 32; ++i) {
+    // u == v, and the root against anything, in both orders.
+    const VertexId x = random_vertex();
+    pairs.emplace_back(x, x);
+    pairs.emplace_back(0, x);
+    pairs.emplace_back(x, 0);
+    // An ancestor and its descendant, in both orders.
+    const VertexId below = random_descendant(x);
+    pairs.emplace_back(x, below);
+    pairs.emplace_back(below, x);
+    // Two vertices down one heavy path: the same chain.
+    VertexId down = x;
+    for (int64_t step = rng.UniformInt(1, 8);
+         step > 0 && heavy[static_cast<size_t>(down)] != -1; --step) {
+      down = heavy[static_cast<size_t>(down)];
+    }
+    pairs.emplace_back(x, down);
+    pairs.emplace_back(down, x);
+  }
+  // Two children of the root, and vertices on different chains of equal
+  // light depth: both endpoints climb in the same round.
+  std::span<const VertexId> root_children = tree.children(0);
+  for (size_t i = 0; i + 1 < root_children.size() && i < 16; ++i) {
+    pairs.emplace_back(root_children[i], root_children[i + 1]);
+  }
+  int equal_depth_pairs = 0;
+  for (int i = 0; i < 4096 && equal_depth_pairs < 64; ++i) {
+    const VertexId a = random_vertex();
+    const VertexId b = random_vertex();
+    if (light_depth[static_cast<size_t>(a)] ==
+            light_depth[static_cast<size_t>(b)] &&
+        head[static_cast<size_t>(a)] != head[static_cast<size_t>(b)]) {
+      pairs.emplace_back(a, b);
+      ++equal_depth_pairs;
+    }
+  }
+  if (family == 1 || family == 3) {
+    ASSERT_GT(equal_depth_pairs, 0) << "family " << family;
+  }
+
   for (int epoch = 0; epoch < 3; ++epoch) {
     if (epoch > 0) {
       std::vector<EdgeWeightDelta> deltas;
@@ -222,7 +302,9 @@ TEST_P(HldKernelConformanceTest, DistanceIntoMatchesPerPairDistance) {
     }
     for (bool force_scalar : {false, true}) {
       ScopedForceScalar force(force_scalar);
-      for (size_t size : {1, 7, 255, 256, 257, 1000}) {
+      for (size_t size :
+           {size_t{1}, size_t{7}, size_t{255}, size_t{256}, size_t{257},
+            size_t{1000}, pairs.size()}) {
         std::vector<double> got(size);
         ASSERT_OK(oracle->DistanceInto(
             std::span<const VertexPair>(pairs.data(), size), got.data()));

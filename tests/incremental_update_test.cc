@@ -11,13 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "core/baselines.h"
 #include "core/hld_oracle.h"
 #include "core/oracle_registry.h"
 #include "core/range_sums.h"
 #include "graph/generators.h"
 #include "graph/tree.h"
-#include "serve/batch_executor.h"
 #include "test_util.h"
 
 namespace dpsp {
@@ -267,15 +267,14 @@ TEST(IncrementalUpdateTest, ShardedExecutionStaysBitIdenticalAcrossEpochs) {
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<HldTreeOracle> oracle,
                        HldTreeOracle::Build(graph, w, ctx));
 
-  BatchExecutorOptions options;
-  options.min_shard_pairs = 8;  // force real fan-out on a small batch
-  BatchExecutor executor(options);
-  std::vector<VertexPair> pairs = SampleTreePairs(n, 512, &rng);
+  // Two chunks of at least 2048 pairs each, so the fan-out is real.
+  std::vector<VertexPair> pairs = SampleTreePairs(n, 2 * 2048 + 256, &rng);
+  ASSERT_EQ(ParallelWorkerCount(pairs.size(), /*max_threads=*/4), 2);
   for (int epoch = 0; epoch < 3; ++epoch) {
     ASSERT_OK(oracle->ApplyWeightUpdates(
         RandomDeltas(graph.num_edges(), 9, &rng), ctx));
     ASSERT_OK_AND_ASSIGN(std::vector<double> sharded,
-                         executor.Execute(*oracle, pairs));
+                         DistanceBatchOf(*oracle, pairs, /*max_threads=*/4));
     ASSERT_OK_AND_ASSIGN(std::vector<double> serial,
                          DistanceBatchOf(*oracle, pairs, 1));
     for (size_t i = 0; i < pairs.size(); ++i) {

@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/table.h"
@@ -138,57 +136,6 @@ TEST(ReleaseContextTest, SeededRngIsDeterministic) {
   }
 }
 
-TEST(ReleaseContextTest, ShardExhaustionSurfacesAtAbsorbNotMidBuild) {
-  // A forked shard carries no ceiling by design: the parent's budget is
-  // enforced when the shard is absorbed. A shard that overspends relative
-  // to what the parent has left therefore builds fine and fails at
-  // AbsorbShard, leaving both ledgers intact.
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{2.5, 0.0, 1.0});
-  ASSERT_OK(parent.ChargeRelease("parent-spend"));  // 1.0 of 2.5 used
-
-  ReleaseContext shard = parent.Fork();
-  EXPECT_FALSE(shard.has_total_budget());
-  ASSERT_OK(shard.ChargeRelease("shard-1"));
-  ASSERT_OK(shard.ChargeRelease("shard-2"));  // shard total 2.0: too much
-
-  Status absorb = parent.AbsorbShard(shard);
-  EXPECT_FALSE(absorb.ok());
-  EXPECT_EQ(absorb.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(parent.accountant().num_releases(), 1);
-  EXPECT_EQ(shard.accountant().num_releases(), 2);
-}
-
-TEST(ReleaseContextTest, AbsorbAfterRollbackStillComposes) {
-  // After a rejected absorb the parent must keep working: a smaller shard
-  // absorbs, and direct charges against the remaining budget behave as if
-  // the failed absorb never happened.
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{1.0, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{2.0, 0.0, 1.0});
-
-  ReleaseContext too_big = parent.Fork();
-  ASSERT_OK(too_big.ChargeRelease("a"));
-  ASSERT_OK(too_big.ChargeRelease("b"));
-  ASSERT_OK(too_big.ChargeRelease("c"));
-  EXPECT_FALSE(parent.AbsorbShard(too_big).ok());
-  EXPECT_EQ(parent.accountant().num_releases(), 0);
-
-  ReleaseContext fits = parent.Fork();
-  ASSERT_OK(fits.ChargeRelease("d"));
-  ASSERT_OK(parent.AbsorbShard(fits));
-  EXPECT_EQ(parent.accountant().num_releases(), 1);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon, 1.0);
-
-  // Exactly one more eps=1 release fits the 2.0 ceiling.
-  ASSERT_OK(parent.ChargeRelease("direct"));
-  EXPECT_FALSE(parent.ChargeRelease("over").ok());
-  EXPECT_EQ(parent.accountant().num_releases(), 2);
-}
-
 TEST(ReleaseContextTest, DefaultPolicyIsBasic) {
   ASSERT_OK_AND_ASSIGN(ReleaseContext ctx,
                        ReleaseContext::Create(PrivacyParams{}, kTestSeed));
@@ -205,8 +152,6 @@ TEST(ReleaseContextTest, PolicySelectsTheAccountant) {
         ReleaseContext::Create(PrivacyParams{0.5, 1e-6, 1.0}, kTestSeed,
                                policy));
     EXPECT_EQ(ctx.policy(), policy);
-    // Forked shards inherit the parent's policy.
-    EXPECT_EQ(ctx.Fork().policy(), policy);
   }
 }
 
@@ -308,96 +253,6 @@ TEST(ReleaseContextTest, PureBudgetHeadroomIgnoresAdvancedBound) {
   approx.SetTotalBudget(PrivacyParams{4.0, 1e-5, 1.0});
   for (int i = 0; i < 200; ++i) ASSERT_OK(approx.ChargeRelease("r"));
   EXPECT_GT(approx.RemainingBudget().epsilon, 2.0);
-}
-
-TEST(ReleaseContextTest, ForkAbsorbEqualsDirectChargesUnderZcdp) {
-  // Satellite: shards must merge PrivacyLoss, not (eps, delta) pairs —
-  // absorbing zCDP shards composes to exactly the ledger direct charges
-  // would have produced (same rho total, same certified epsilon).
-  PrivacyParams per_release{0.5, 1e-6, 1.0};
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(per_release, kTestSeed,
-                             AccountingPolicy::kZcdp));
-  parent.SetTotalBudget(PrivacyParams{3.0, 1e-4, 1.0},
-                        /*delta_slack=*/1e-5);
-  ASSERT_OK_AND_ASSIGN(PrivacyLoss loss,
-                       PrivacyLoss::GaussianFromParams(per_release));
-
-  constexpr int kShards = 4;
-  constexpr int kPerShard = 3;
-  std::vector<ReleaseContext> shards;
-  shards.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) shards.push_back(parent.Fork());
-  for (int s = 0; s < kShards; ++s) {
-    for (int r = 0; r < kPerShard; ++r) {
-      ASSERT_OK(shards[static_cast<size_t>(s)].ChargeRelease(
-          StrFormat("shard-%d-release-%d", s, r), loss));
-    }
-  }
-  for (int s = 0; s < kShards; ++s) {
-    ASSERT_OK(parent.AbsorbShard(shards[static_cast<size_t>(s)]));
-  }
-
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext direct,
-      ReleaseContext::Create(per_release, kTestSeed,
-                             AccountingPolicy::kZcdp));
-  for (int i = 0; i < kShards * kPerShard; ++i) {
-    ASSERT_OK(direct.ChargeRelease("direct", loss));
-  }
-  EXPECT_EQ(parent.accountant().num_releases(), kShards * kPerShard);
-  ASSERT_OK_AND_ASSIGN(double parent_rho, parent.accountant().TotalRho());
-  ASSERT_OK_AND_ASSIGN(double direct_rho, direct.accountant().TotalRho());
-  EXPECT_DOUBLE_EQ(parent_rho, direct_rho);
-  EXPECT_DOUBLE_EQ(parent.accountant().Total(1e-5).epsilon,
-                   direct.accountant().Total(1e-5).epsilon);
-  // Every absorbed entry kept its zCDP currency.
-  for (const AccountantEntry& entry : parent.accountant().entries()) {
-    EXPECT_EQ(entry.loss.kind, LossKind::kZcdp);
-  }
-}
-
-TEST(ReleaseContextTest, ConcurrentAbsorbOrderingComposesIdentically) {
-  // Shards built on worker threads finish in arbitrary order; the ledger
-  // AbsorbShard produces must not depend on that order. Fork the shards
-  // serially (Fork advances the parent's seed stream), charge them on
-  // threads, absorb serialized-by-mutex in completion order, and compare
-  // against the deterministic sequential composition.
-  constexpr int kShards = 8;
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext parent,
-      ReleaseContext::Create(PrivacyParams{0.25, 0.0, 1.0}, kTestSeed));
-  parent.SetTotalBudget(PrivacyParams{10.0, 0.0, 1.0});
-  std::vector<ReleaseContext> shards;
-  shards.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) shards.push_back(parent.Fork());
-
-  std::mutex absorb_mutex;
-  std::vector<std::thread> threads;
-  threads.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    threads.emplace_back([&, s] {
-      ASSERT_OK(shards[static_cast<size_t>(s)].ChargeRelease(
-          "shard-" + std::to_string(s)));
-      std::lock_guard<std::mutex> lock(absorb_mutex);
-      ASSERT_OK(parent.AbsorbShard(shards[static_cast<size_t>(s)]));
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  ASSERT_OK_AND_ASSIGN(
-      ReleaseContext reference,
-      ReleaseContext::Create(PrivacyParams{0.25, 0.0, 1.0}, kTestSeed));
-  for (int s = 0; s < kShards; ++s) {
-    ASSERT_OK(reference.ChargeRelease("shard-" + std::to_string(s)));
-  }
-  EXPECT_EQ(parent.accountant().num_releases(), kShards);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().epsilon,
-                   reference.accountant().BasicTotal().epsilon);
-  EXPECT_DOUBLE_EQ(parent.accountant().BasicTotal().delta,
-                   reference.accountant().BasicTotal().delta);
-  EXPECT_EQ(parent.telemetry().size(), reference.telemetry().size());
 }
 
 }  // namespace
