@@ -109,6 +109,33 @@ void BM_PathOracleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_PathOracleQuery);
 
+// The tree-recursive batch kernel (one LCA lookup and three estimate
+// reads per pair), single-threaded, at 16384 pairs per call on trees of
+// 131072 vertices: arg 0 is a path, arg 1 a random tree.
+void BM_TreeRecursiveDistanceInto(benchmark::State& state) {
+  Rng rng(kBenchSeed);
+  constexpr int kV = 131072;
+  constexpr int kBatch = 16384;
+  Graph g = state.range(0) == 1 ? OrDie(MakeRandomTree(kV, &rng))
+                                : OrDie(MakePathGraph(kV));
+  EdgeWeights w = MakeUniformWeights(g, 0.1, 0.9, &rng);
+  PrivacyParams params{1.0, 0.0, 1.0};
+  auto oracle = OrDie(TreeAllPairsOracle::Build(g, w, params, &rng));
+  std::vector<VertexPair> pairs;
+  pairs.reserve(kBatch);
+  for (int i = 0; i < kBatch; ++i) {
+    pairs.emplace_back(static_cast<VertexId>(rng.UniformInt(0, kV - 1)),
+                       static_cast<VertexId>(rng.UniformInt(0, kV - 1)));
+  }
+  std::vector<double> out(pairs.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(oracle->DistanceInto(pairs, out.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_TreeRecursiveDistanceInto)->Arg(0)->Arg(1);
+
 // The tree-hld batch kernel, single-threaded, on the serving benchmark's
 // two trees: arg 0 is a random tree of 131072 vertices at 16384 pairs per
 // call, arg 1 a 16384 x 7 caterpillar at 4096 pairs per call. Arg 2 is a

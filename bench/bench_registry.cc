@@ -5,7 +5,7 @@
 // in a single table — adding a tenth is one Register() line in
 // core/oracle_registry.cc.
 //
-// Three sections:
+// Four sections:
 //  R1  registry sweep (V=256): build/batch/error per mechanism.
 //  R2  one shared context serving several releases (the deployment view).
 //  R3  serving throughput at scale (V=131072): steady-state DistanceBatch
@@ -15,16 +15,12 @@
 //  R4  incremental update epochs vs full rebuild (tree-hld, random tree
 //      V=65536): wall clock and charged epsilon at 1% / 5% / 25% dirty
 //      fractions — the continual-release economics in one table.
-//  R5  hardware-limit hot path: forced-scalar vs AVX2 DistanceInto
-//      throughput of the tree-recursive kernel (same release, same
-//      pairs — the dispatch is the only variable), at V=16384 and
-//      V=131072.
 //
 // Usage: bench_registry [out.csv] [out.json]
 //   out.csv   the R1 rows as CSV
-//   out.json  machine-readable R1 + R3 + R5 numbers (ops/sec per
-//             mechanism, the build-scaling runs, and the scalar/AVX2
-//             series) — the CI perf-smoke artifact.
+//   out.json  machine-readable R1-R4 numbers (ops/sec per mechanism,
+//             the build-scaling runs, the accounting ledgers and the
+//             update epochs) — the CI perf-smoke artifact.
 
 #include <cstdio>
 #include <string>
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/cpu.h"
 #include "core/baselines.h"
 #include "core/bounded_weight.h"
 #include "core/hld_oracle.h"
@@ -54,15 +49,6 @@ struct ThroughputRow {
 struct ScalingRun {
   int threads = 0;
   double build_ms = 0.0;
-};
-
-/// One R5 row: the same release served under forced-scalar dispatch and
-/// the ambient (AVX2 when available) dispatch.
-struct SimdRun {
-  std::string mechanism;
-  int v = 0;
-  BatchTiming scalar;  // ScopedForceScalar DistanceBatch
-  BatchTiming simd;    // ambient-dispatch DistanceBatch
 };
 
 /// One accounting policy's certified total for the R2b ledger.
@@ -146,8 +132,7 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                int scaling_v, int scaling_k,
                const std::vector<ScalingRun>& scaling,
                const std::vector<AccountingSweep>& accounting,
-               int update_v, const std::vector<UpdateEpochRun>& updates,
-               size_t simd_queries, const std::vector<SimdRun>& simd) {
+               int update_v, const std::vector<UpdateEpochRun>& updates) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "could not write JSON to %s\n", path);
@@ -248,26 +233,6 @@ void WriteJson(const char* path, int sweep_v, size_t sweep_queries,
                  u.update_ms > 0.0 ? u.rebuild_ms / u.update_ms : 0.0,
                  u.charged_eps, u.full_eps, u.deltas_per_sec,
                  i + 1 < updates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  // R5: the dispatch A/B (one release, forced-scalar vs ambient) the
-  // perf-trajectory tracker watches.
-  std::fprintf(f,
-               "  \"simd\": {\"dispatch\": \"%s\", \"queries\": %zu, "
-               "\"runs\": [\n",
-               SimdDispatchDescription(), simd_queries);
-  for (size_t i = 0; i < simd.size(); ++i) {
-    const SimdRun& r = simd[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"V\": %d, "
-                 "\"scalar_ops_per_sec\": %.0f, \"avx2_ops_per_sec\": %.0f, "
-                 "\"speedup\": %.3f}%s\n",
-                 r.mechanism.c_str(), r.v, r.scalar.ops_per_sec,
-                 r.simd.ops_per_sec,
-                 r.scalar.ops_per_sec > 0.0
-                     ? r.simd.ops_per_sec / r.scalar.ops_per_sec
-                     : 0.0,
-                 i + 1 < simd.size() ? "," : "");
   }
   std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
@@ -520,54 +485,10 @@ void Run(const char* csv_path, const char* json_path) {
              /*edge_hi=*/caterpillar.num_edges() - 7, leaf_fractions);
   update_table.Print();
 
-  // R5: hardware-limit hot path. One release per (mechanism, V); the
-  // scalar and AVX2 legs run the identical DistanceBatch on it (results
-  // are bit-identical — tests/simd_conformance_test.cc — so the dispatch
-  // is the only variable). The dispatch is printed with the table.
-  // Only tree-recursive has a row: tree-hld and bounded-weight have no
-  // vector query kernel, so both legs would time the same code.
-  const size_t simd_queries = 200000;
-  std::vector<SimdRun> simd_runs;
-  Table simd_table(
-      StrFormat("R5: scalar vs AVX2 serving (path graph, 200k queries; "
-                "dispatch=%s)",
-                SimdDispatchDescription()),
-      {"mechanism", "V", "scalar Mops/s", "avx2 Mops/s", "avx2/scalar"});
-  for (int simd_v : {16384, 131072}) {
-    Graph simd_g = OrDie(MakePathGraph(simd_v));
-    EdgeWeights simd_w = MakeUniformWeights(simd_g, 0.1, 0.9, &rng);
-    std::vector<VertexPair> simd_pairs =
-        SamplePairs(simd_v, static_cast<int>(simd_queries), &rng);
-    const char* name = "tree-recursive";
-    ReleaseContext simd_ctx = OrDie(ReleaseContext::Create(
-        PrivacyParams{1.0, 0.0, 1.0}, rng.NextSeed()));
-    auto oracle = OrDie(
-        OracleRegistry::Global().Create(name, simd_g, simd_w, simd_ctx));
-    SimdRun& run = simd_runs.emplace_back();
-    run.mechanism = name;
-    run.v = simd_v;
-    {
-      ScopedForceScalar force(true);
-      run.scalar = TimeDistanceBatch(*oracle, simd_pairs);
-    }
-    run.simd = TimeDistanceBatch(*oracle, simd_pairs);
-    if (run.scalar.front != run.simd.front) {
-      std::abort();  // dispatch must never change results
-    }
-    simd_table.Row()
-        .Add(name)
-        .Add(simd_v)
-        .Add(run.scalar.ops_per_sec / 1e6, 2)
-        .Add(run.simd.ops_per_sec / 1e6, 2)
-        .Add(run.simd.ops_per_sec / run.scalar.ops_per_sec, 2);
-  }
-  simd_table.Print();
-
   if (json_path != nullptr) {
     WriteJson(json_path, n, pairs.size(), sweep_stats, big_n,
               big_pairs.size(), rows, grid_side * grid_side, scaling_k,
-              scaling, accounting, update_v, updates, simd_queries,
-              simd_runs);
+              scaling, accounting, update_v, updates);
   }
 
   std::puts(

@@ -3,9 +3,8 @@
 // Every hot released structure (packed Euler-tour LCA sparse table, dyadic
 // block arrays, CSR adjacency, the bounded-weight Z x Z table) is a flat
 // array streamed by the DistanceInto kernels. Default std::vector storage
-// only guarantees alignof(T); the SIMD gather paths want the stronger
-// guarantee that a buffer starts on its own cache line (and therefore never
-// splits a 32-byte vector load across a line boundary at offset 0).
+// only guarantees alignof(T); these buffers start on their own cache line,
+// so a kernel's first load never straddles a line boundary.
 // AlignedVector is std::vector with a 64-byte aligned allocator, so every
 // call site keeps vector semantics — the alignment is a property of the
 // type, checked statically in tests.
@@ -21,8 +20,7 @@
 
 namespace dpsp {
 
-/// One cache line / one AVX-512 lane: the alignment of every released flat
-/// buffer.
+/// One cache line: the alignment of every released flat buffer.
 inline constexpr std::size_t kCacheLineBytes = 64;
 
 /// Minimal C++17 aligned allocator (operator new with align_val_t).

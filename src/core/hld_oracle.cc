@@ -251,19 +251,13 @@ void HldTreeOracle::RecomputeAscentCosts(int c) {
   const uint32_t end = chain_member_offset_[static_cast<size_t>(c) + 1];
   const int m = static_cast<int>(end - begin);
   if (m == 0) return;
-  // Chain member p sits at position p, so the whole chain's ascent
-  // prefixes are the batched prefix sums over 0..m-1 — one call into the
-  // (SIMD-dispatched, bit-identical) vector walk instead of m scalar
-  // walks.
-  std::vector<int> prefixes(static_cast<size_t>(m));
-  for (int p = 0; p < m; ++p) prefixes[static_cast<size_t>(p)] = p;
-  std::vector<double> sums(static_cast<size_t>(m));
-  chains_[static_cast<size_t>(c)].PrefixSumsUnchecked(prefixes, sums.data());
+  // Chain member p sits at position p, so its ascent cost is the noisy
+  // prefix over [0, p) plus the chain's light edge.
+  const NoisyDyadicRangeSums& chain = chains_[static_cast<size_t>(c)];
   const double light = light_noisy_[static_cast<size_t>(c)];
   for (int p = 0; p < m; ++p) {
     VertexId v = chain_member_list_[begin + static_cast<uint32_t>(p)];
-    ascent_cost_[static_cast<size_t>(v)] =
-        sums[static_cast<size_t>(p)] + light;
+    ascent_cost_[static_cast<size_t>(v)] = chain.PrefixSumUnchecked(p) + light;
   }
 }
 

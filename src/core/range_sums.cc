@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <bit>
 
-#include "common/cpu.h"
 #include "common/table.h"
-#include "core/simd_kernels.h"
 
 namespace dpsp {
 
@@ -145,20 +143,6 @@ double NoisyDyadicRangeSums::PrefixSumUnchecked(int hi) const {
     sum += blocks_[BlockSlot(l, static_cast<int>((i >> l) - 1))];
   }
   return sum;
-}
-
-void NoisyDyadicRangeSums::PrefixSumsUnchecked(std::span<const int> his,
-                                               double* out) const {
-#if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && his.size() >= 4) {
-    simd::DyadicPrefixSumsAvx2(Flat(), his.data(),
-                               static_cast<int>(his.size()), out);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < his.size(); ++i) {
-    out[i] = PrefixSumUnchecked(his[i]);
-  }
 }
 
 double NoisyDyadicRangeSums::SumRange(int lo, int hi, int* segments) const {

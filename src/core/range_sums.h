@@ -91,18 +91,11 @@ class NoisyDyadicRangeSums {
   /// Caller must guarantee 0 <= hi <= size.
   double PrefixSumUnchecked(int hi) const;
 
-  /// Batched PrefixSumUnchecked: out[i] = noisy sum over [0, his[i]) for
-  /// every i. Dispatches to the AVX2 lowest-set-bit walk when available;
-  /// the vector path adds blocks in the same per-query order as the scalar
-  /// walk, so results are bit-identical either way. Callers must guarantee
-  /// 0 <= his[i] <= size.
-  void PrefixSumsUnchecked(std::span<const int> his, double* out) const;
-
   /// Number of stored values.
   int size() const { return size_; }
 
-  /// Raw pointers into the flat released structure, for the batch SIMD
-  /// kernels: level l's noisy block sums occupy
+  /// Raw pointers into the flat released structure, for the HLD batch
+  /// kernel: level l's noisy block sums occupy
   /// blocks[level_offset[l] .. level_offset[l + 1]).
   struct FlatView {
     const double* blocks;

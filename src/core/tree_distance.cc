@@ -2,10 +2,8 @@
 
 #include <cmath>
 
-#include "common/cpu.h"
 #include "common/table.h"
 #include "core/released_state.h"
-#include "core/simd_kernels.h"
 #include "dp/laplace_mechanism.h"
 #include "graph/tree_partition.h"
 
@@ -207,17 +205,6 @@ Status TreeAllPairsOracle::DistanceInto(std::span<const VertexPair> pairs,
   // O(1) LCA lookup — no per-query Result or virtual dispatch.
   const unsigned n = static_cast<unsigned>(tree_.num_vertices());
   const double* est = release_.estimates.data();
-#if defined(DPSP_HAVE_AVX2)
-  if (SimdKernelsEnabled() && pairs.size() >= 8 && lca_.SimdCompatible()) {
-    static_assert(sizeof(VertexPair) == 2 * sizeof(int32_t),
-                  "kernels reinterpret VertexPair as two packed int32s");
-    int bad = simd::TreeCombineAvx2(
-        lca_.Flat(), est, reinterpret_cast<const int32_t*>(pairs.data()),
-        static_cast<int>(pairs.size()), out);
-    if (bad < 0) return Status::Ok();
-    return Status::InvalidArgument("vertex out of range");
-  }
-#endif
   for (size_t i = 0; i < pairs.size(); ++i) {
     const auto& [u, v] = pairs[i];
     if (static_cast<unsigned>(u) >= n || static_cast<unsigned>(v) >= n) {

@@ -133,27 +133,6 @@ class EulerTourLca {
   /// Length of the Euler tour (2V - 1).
   int tour_size() const { return tour_len_; }
 
-  /// Raw pointers into the packed structure, for the batch SIMD kernels:
-  /// everything LcaUnchecked touches, with no indirection through `this`.
-  struct FlatView {
-    const uint32_t* first_visit;
-    const uint8_t* log2_floor;
-    const uint64_t* table;
-    unsigned stride_shift;
-    int num_vertices;
-  };
-  FlatView Flat() const {
-    return {first_visit_.data(), log2_floor_.data(), table_.data(),
-            stride_shift_, n_};
-  }
-
-  /// True iff every table index fits an int32 — the precondition for the
-  /// AVX2 gather path (32-bit gather indices). Holds for every V the
-  /// oracles accept; false only past ~2^26 vertices.
-  bool SimdCompatible() const {
-    return table_.size() < (static_cast<size_t>(1) << 31);
-  }
-
  private:
   const RootedTree* tree_;
   int n_ = 0;         // cached vertex count (query hot path)
@@ -163,7 +142,7 @@ class EulerTourLca {
   AlignedVector<uint8_t> log2_floor_;    // precomputed floor(log2(i))
   // Row-major sparse table: table_[(k << stride_shift_) + i] packs
   // (depth << 32) | vertex for the min-depth vertex in tour[i .. i + 2^k).
-  // Cache-line aligned: the gather path reads 4 cells per lane-group.
+  // Cache-line aligned, like every released flat buffer.
   AlignedVector<uint64_t> table_;
 };
 

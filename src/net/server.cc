@@ -217,7 +217,8 @@ Status QueryServer::RecoverPersistentState() {
                                   workload->weights));
     handles_.push_back({meta.handle, meta.mechanism, workload->name,
                         std::shared_ptr<DistanceOracle>(std::move(oracle)),
-                        std::make_shared<std::shared_mutex>(), path});
+                        std::make_shared<std::shared_mutex>(), path,
+                        reader.epoch_lsn()});
     // The epoch clock resumes past everything recovered, so post-restart
     // releases stamp fresh LSNs.
     BumpEpochLsn(reader.epoch_lsn());
@@ -292,6 +293,20 @@ void QueryServer::BumpEpochLsn(uint64_t lsn) {
 void QueryServer::SetReplicationObserver(ReplicationObserver* observer) {
   std::lock_guard<std::mutex> lock(ledger_mutex_);
   replication_observer_ = observer;
+  // Releases and updates hold the ledger lock, so no handle changes
+  // between this copy and the notifications below.
+  std::vector<HandleEntry> live;
+  {
+    std::lock_guard<std::mutex> handles_lock(handles_mutex_);
+    live = handles_;
+  }
+  for (size_t id = 0; id < live.size(); ++id) {
+    const HandleEntry& entry = live[id];
+    if (entry.oracle == nullptr) continue;
+    NotifyReplication(static_cast<uint32_t>(id), entry.epoch_lsn,
+                      /*is_update=*/false, entry.name, entry.mechanism,
+                      entry.workload, *entry.oracle);
+  }
 }
 
 void QueryServer::SetClusterStatsProvider(ClusterStatsFn fn) {
@@ -333,7 +348,7 @@ Status QueryServer::InstallReplicaHandle(
   std::lock_guard<std::mutex> lock(handles_mutex_);
   while (handles_.size() <= handle_id) {
     handles_.push_back({"", "", "", nullptr,
-                        std::make_shared<std::shared_mutex>(), ""});
+                        std::make_shared<std::shared_mutex>(), "", 0});
   }
   HandleEntry& entry = handles_[handle_id];
   entry.name = name;
@@ -555,7 +570,7 @@ void QueryServer::HandleRelease(Socket& socket,
       handles_.push_back({request->handle_name, request->mechanism,
                           workload->name, oracle,
                           std::make_shared<std::shared_mutex>(),
-                          snapshot_path});
+                          snapshot_path, epoch_lsn});
     }
     if (!snapshot_path.empty()) {
       store::OracleSnapshotMeta meta{request->mechanism, workload->name,
@@ -725,7 +740,8 @@ void QueryServer::HandleUpdate(Socket& socket, std::span<const uint8_t> body) {
     store::OracleSnapshotMeta meta;
     {
       std::lock_guard<std::mutex> lock(handles_mutex_);
-      const HandleEntry& entry = handles_[request->handle_id];
+      HandleEntry& entry = handles_[request->handle_id];
+      entry.epoch_lsn = epoch_lsn;
       snapshot_path = entry.snapshot_path;
       meta = {entry.mechanism, entry.workload, entry.name};
     }

@@ -169,8 +169,10 @@ class QueryServer {
   void BumpEpochLsn(uint64_t lsn);
 
   /// Subscribes `observer` to the release/update image stream (nullptr
-  /// unsubscribes). The pointer is non-owning and must outlive the
-  /// server or be cleared first.
+  /// unsubscribes). A new observer first receives, as releases, the
+  /// image of every live handle at the epoch LSN it was last written
+  /// with — the handles a warm restart recovered included. The pointer is
+  /// non-owning and must outlive the server or be cleared first.
   void SetReplicationObserver(ReplicationObserver* observer);
 
   /// Installs `fn` to fill the Stats cluster aggregation fields
@@ -216,6 +218,9 @@ class QueryServer {
     /// Where this handle's snapshot lives; empty when persistence is off
     /// (or the mechanism does not implement SaveReleasedState).
     std::string snapshot_path;
+    /// The epoch LSN of the release or update that last wrote the
+    /// oracle (from the snapshot on recovery).
+    uint64_t epoch_lsn = 0;
   };
   struct Connection {
     Socket socket;

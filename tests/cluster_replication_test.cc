@@ -1,8 +1,9 @@
 // Tests for the replicated read tier: coordinator/replica bit-identity
 // across every registered mechanism, delta-only update epochs (byte
-// accounting), late-joiner catch-up, a SIGKILLed-mid-install replica
-// resubscribing cleanly, and budget charged exactly once on the
-// coordinator no matter how many replicas serve.
+// accounting), late-joiner catch-up, a replica joining a warm-restarted
+// coordinator, a SIGKILLed-mid-install replica resubscribing cleanly, and
+// budget charged exactly once on the coordinator no matter how many
+// replicas serve.
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -259,6 +260,80 @@ TEST(ClusterReplicationTest, LateJoinerCatchesUpThroughDeltaReplay) {
             static_cast<uint64_t>(1 + kEpochs));
   ExpectBitIdentical(fixture, info.handle_id, kTestSeed ^ 0x10af,
                      "late joiner");
+}
+
+// ---------------------------------------------------- warm restarts --
+
+// A coordinator restarted over its persistence_dir recovers its handles
+// from disk without a release or update epoch; a replica subscribing
+// afterwards must still receive them, at the LSN they were last written
+// with.
+TEST(ClusterReplicationTest, ReplicaReceivesHandlesAWarmRestartRecovered) {
+  const Workload workload = MakeWorkload();
+  std::string dir = ::testing::TempDir() + "dpsp_cluster_XXXXXX";
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  auto make_server = [&] {
+    net::QueryServerOptions options;
+    options.persistence_dir = dir;
+    ReleaseContext ctx =
+        ReleaseContext::Create(kParams, kClusterSeed).value();
+    ctx.SetTotalBudget(PrivacyParams{1e9, 0.5, 1.0});
+    auto server =
+        std::make_unique<net::QueryServer>(options, std::move(ctx));
+    EXPECT_OK(server->AddWorkload("path", workload.graph, workload.weights));
+    return server;
+  };
+  const std::vector<VertexPair> pairs = SamplePairs(300, kTestSeed ^ 0x5e5);
+
+  std::vector<double> before;
+  uint32_t handle_id = 0;
+  {
+    std::unique_ptr<net::QueryServer> server = make_server();
+    ASSERT_OK(server->Start());
+    cluster::Coordinator coordinator({}, server.get());
+    ASSERT_OK(coordinator.Start());
+    net::Client client =
+        net::Client::Connect("127.0.0.1", server->port()).value();
+    ASSERT_OK_AND_ASSIGN(net::ReleaseInfo info,
+                         client.Release("path", "tree-hld", "live"));
+    handle_id = info.handle_id;
+    const std::vector<EdgeWeightDelta> deltas = {{EdgeId{5}, 0.3}};
+    ASSERT_OK(client.UpdateWeights(handle_id, deltas).status());
+    ASSERT_OK_AND_ASSIGN(before, client.Query(handle_id, pairs));
+    coordinator.Stop();
+    server->Stop();
+  }
+
+  std::unique_ptr<net::QueryServer> server = make_server();
+  ASSERT_OK(server->Start());
+  ASSERT_EQ(server->last_epoch_lsn(), 2u);
+  cluster::Coordinator coordinator({}, server.get());
+  ASSERT_OK(coordinator.Start());
+
+  net::QueryServer replica_server{net::QueryServerOptions{}};
+  ASSERT_OK(replica_server.AddWorkload("path", workload.graph,
+                                       workload.weights));
+  ASSERT_OK(replica_server.Start());
+  cluster::ReplicaOptions options;
+  options.coordinator_port = coordinator.replication_port();
+  options.name = "after-restart";
+  cluster::Replica replica(options, &replica_server);
+  ASSERT_OK(replica.Start());
+  ASSERT_OK(replica.WaitForLsn(2, 10000));
+  EXPECT_EQ(replica.full_installs(), 1u);
+
+  net::Client client =
+      net::Client::Connect("127.0.0.1", replica_server.port()).value();
+  ASSERT_OK_AND_ASSIGN(std::vector<double> served,
+                       client.Query(handle_id, pairs));
+  ASSERT_EQ(served.size(), before.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(served[i], before[i]) << "pair " << i;
+  }
+  replica.Stop();
+  replica_server.Stop();
+  coordinator.Stop();
+  server->Stop();
 }
 
 // ------------------------------------------------ failure injection --

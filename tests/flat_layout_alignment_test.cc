@@ -1,11 +1,10 @@
 // Layout checks for the cache-flat released structures: every hot array
-// the batch kernels stream (CSR adjacency, the Euler-tour LCA sparse
-// table, dyadic block sums, released estimate vectors) is allocated
-// through AlignedAllocator and must start on a 64-byte cache-line
-// boundary. The gather kernels don't require alignment for correctness —
-// this is a perf invariant (no split-line loads at buffer starts), locked
-// here so a refactor back to plain std::vector shows up as a test failure
-// instead of a silent regression.
+// the batch kernels stream (CSR adjacency, dyadic block sums, released
+// estimate vectors) is allocated through AlignedAllocator and must start
+// on a 64-byte cache-line boundary. The kernels don't require alignment
+// for correctness — this is a perf invariant (no split-line loads at
+// buffer starts), locked here so a refactor back to plain std::vector
+// shows up as a test failure instead of a silent regression.
 
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "core/tree_distance.h"
 #include "dp/release_context.h"
 #include "graph/generators.h"
-#include "graph/tree.h"
 #include "test_util.h"
 
 namespace dpsp {
@@ -42,18 +40,6 @@ TEST(FlatLayoutAlignmentTest, GraphCsrArraysAreCacheAligned) {
   EXPECT_TRUE(IsCacheAligned(g.AdjacencyOffsets().data()));
   EXPECT_TRUE(IsCacheAligned(g.AdjacencyHeads().data()));
   EXPECT_TRUE(IsCacheAligned(g.AdjacencyEdges().data()));
-}
-
-TEST(FlatLayoutAlignmentTest, EulerTourLcaTableIsCacheAligned) {
-  Rng rng(kTestSeed);
-  ASSERT_OK_AND_ASSIGN(Graph g, MakeRandomTree(kNumVertices, &rng));
-  ASSERT_OK_AND_ASSIGN(RootedTree tree, RootedTree::FromGraph(g, 0));
-  EulerTourLca lca(tree);
-  EulerTourLca::FlatView flat = lca.Flat();
-  EXPECT_TRUE(IsCacheAligned(flat.first_visit));
-  EXPECT_TRUE(IsCacheAligned(flat.log2_floor));
-  EXPECT_TRUE(IsCacheAligned(flat.table));
-  EXPECT_TRUE(lca.SimdCompatible());
 }
 
 TEST(FlatLayoutAlignmentTest, DyadicBlocksAreCacheAligned) {

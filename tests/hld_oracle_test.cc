@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cpu.h"
 #include "common/random.h"
 #include "core/released_state.h"
 #include "core/tree_distance.h"
@@ -300,19 +299,16 @@ TEST_P(HldKernelConformanceTest, DistanceIntoMatchesPerPairDistance) {
       ASSERT_OK_AND_ASSIGN(want[i],
                            oracle->Distance(pairs[i].first, pairs[i].second));
     }
-    for (bool force_scalar : {false, true}) {
-      ScopedForceScalar force(force_scalar);
-      for (size_t size :
-           {size_t{1}, size_t{7}, size_t{255}, size_t{256}, size_t{257},
-            size_t{1000}, pairs.size()}) {
-        std::vector<double> got(size);
-        ASSERT_OK(oracle->DistanceInto(
-            std::span<const VertexPair>(pairs.data(), size), got.data()));
-        for (size_t i = 0; i < size; ++i) {
-          ASSERT_EQ(got[i], want[i])
-              << "family " << family << " epoch " << epoch << " scalar "
-              << force_scalar << " batch " << size << " pair " << i;
-        }
+    for (size_t size :
+         {size_t{1}, size_t{7}, size_t{255}, size_t{256}, size_t{257},
+          size_t{1000}, pairs.size()}) {
+      std::vector<double> got(size);
+      ASSERT_OK(oracle->DistanceInto(
+          std::span<const VertexPair>(pairs.data(), size), got.data()));
+      for (size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(got[i], want[i]) << "family " << family << " epoch "
+                                   << epoch << " batch " << size
+                                   << " pair " << i;
       }
     }
   }
@@ -332,12 +328,9 @@ TEST(HldKernelTest, OutOfRangeIdInSecondBlockIsTypedError) {
     std::vector<VertexPair> pairs(600, VertexPair{1, 2});
     pairs[300] = bad;
     std::vector<double> out(pairs.size());
-    for (bool force_scalar : {false, true}) {
-      ScopedForceScalar force(force_scalar);
-      Status status = oracle->DistanceInto(pairs, out.data());
-      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
-          << bad.first << "," << bad.second << " scalar " << force_scalar;
-    }
+    Status status = oracle->DistanceInto(pairs, out.data());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad.first << "," << bad.second;
   }
 }
 

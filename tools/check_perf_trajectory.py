@@ -7,9 +7,8 @@ series the benches emit is compared per mechanism and series:
 
   BENCH_registry.json  (bench_registry)      R1 sweep batch throughput,
                                              R3 serving throughput (plain-
-                                             batch and sharded), R4 update
-                                             epochs, and the R5 scalar/
-                                             AVX2 dispatch series
+                                             batch and sharded) and R4
+                                             update epochs
   BENCH_server.json    (bench_server_loadgen) end-to-end wire ops/sec and
                                              the in-process direct baseline
 
@@ -57,16 +56,6 @@ def ops_series(doc):
                         f"@{row.get('drift', 'uniform')}"
                         f"-{row.get('dirty_fraction', '?')}")
                 yield "update", name, float(row["deltas_per_sec"])
-        # R5: the scalar/AVX2 dispatch A/B. Both legs are tracked
-        # independently — a scalar regression is a
-        # kernel-semantics change, an avx2-only regression is a dispatch
-        # or vectorization change.
-        for row in doc.get("simd", {}).get("runs", []):
-            tag = f"{row.get('name', '?')}@V{row.get('V', '?')}"
-            if row.get("scalar_ops_per_sec"):
-                yield "simd", f"{tag}-scalar", float(row["scalar_ops_per_sec"])
-            if row.get("avx2_ops_per_sec"):
-                yield "simd", f"{tag}-avx2", float(row["avx2_ops_per_sec"])
     elif bench == "bench_server_loadgen":
         for row in doc.get("mechanisms", []):
             if row.get("ops_per_sec"):

@@ -3,9 +3,8 @@
 the CI perf-trajectory step depends on: a missing PRIOR artifact must be a
 clean skip (first run on a branch), a missing CURRENT artifact must fail
 loudly (the bench that should have produced it never ran), regressions
-must be flagged (and only fail under --strict), and the R4 update, R5
-scalar/AVX2, and loadgen mixed series must be picked up from the bench
-JSON.
+must be flagged (and only fail under --strict), and the R4 update and
+loadgen mixed series must be picked up from the bench JSON.
 
 Run directly (python3 tools/test_check_perf_trajectory.py) or via ctest.
 """
@@ -21,7 +20,7 @@ TOOL = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "check_perf_trajectory.py")
 
 
-def registry_doc(sweep_ops, update_ops, simd_ops=4000.0):
+def registry_doc(sweep_ops, update_ops):
     return {
         "bench": "bench_registry",
         "sweep": {"mechanisms": [
@@ -34,11 +33,6 @@ def registry_doc(sweep_ops, update_ops, simd_ops=4000.0):
         "updates": {"name": "tree-hld", "epochs": [
             {"drift": "uniform", "dirty_fraction": 0.01,
              "deltas_per_sec": update_ops},
-        ]},
-        "simd": {"dispatch": "avx2", "queries": 200000, "runs": [
-            {"name": "tree-hld", "V": 131072,
-             "scalar_ops_per_sec": simd_ops,
-             "avx2_ops_per_sec": 2.0 * simd_ops, "speedup": 2.0},
         ]},
     }
 
@@ -122,26 +116,6 @@ class CheckPerfTrajectoryTest(unittest.TestCase):
         self.assertIn("tree-hld@uniform-0.01", result.stdout)
         self.assertIn("mixed", result.stdout)
         self.assertIn("no ops/sec regressions", result.stdout)
-
-    def test_simd_series_are_compared(self):
-        # Both dispatch legs are independent series; a drop in the avx2
-        # leg alone must be flagged while the scalar leg stays green.
-        prior = self.path("prior/BENCH_registry.json",
-                          registry_doc(1000.0, 500.0, simd_ops=4000.0))
-        current_doc = registry_doc(1000.0, 500.0, simd_ops=4000.0)
-        current_doc["simd"]["runs"][0]["avx2_ops_per_sec"] = 2000.0  # -75%
-        current = self.path("BENCH_registry.json", current_doc)
-        result = self.run_tool("--pair", prior, current)
-        self.assertEqual(result.returncode, 0, result.stdout)
-        self.assertIn("tree-hld@V131072-scalar", result.stdout)
-        self.assertIn("tree-hld@V131072-avx2", result.stdout)
-        self.assertIn("::warning::", result.stdout)
-        self.assertIn("avx2", result.stdout)
-        # Only the avx2 leg regressed.
-        warnings = [line for line in result.stdout.splitlines()
-                    if line.startswith("::warning::")]
-        self.assertEqual(len(warnings), 1, result.stdout)
-        self.assertIn("-avx2", warnings[0])
 
     def test_positional_pair_still_works(self):
         prior = self.path("prior/BENCH_server.json", server_doc(900.0, 800.0))
